@@ -25,9 +25,11 @@
 //!    divergent flip-flop state and no fault hook remains — the rest of the
 //!    run is then classified straight from the golden trace.
 //!
-//! The campaign integration lives in `socfmea-faultsim` (opt in with
-//! `Campaign::accelerated(true)`); this crate holds the engine itself and
-//! knows nothing about faults models beyond force/pulse/flip hooks.
+//! The campaign integration lives in `socfmea-faultsim`, where every
+//! engine shares one [`GoldenTrace`] per campaign and the sparse engine
+//! (`Campaign::engine(Engine::Sparse)`) adds the warm starts and the
+//! [`SparseSim`] kernel; this crate holds the engine itself and knows
+//! nothing about fault models beyond force/pulse/flip hooks.
 
 pub mod golden;
 pub mod sparse;

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use socfmea_core::extract_zones;
 use socfmea_faultsim::{
-    fault_universe, generate_fault_list, ppsfp_coverage, run_campaign, serial_coverage, Campaign,
+    fault_universe, generate_fault_list, ppsfp_coverage, serial_coverage, Campaign,
     EnvironmentBuilder, FaultListConfig, OperationalProfile,
 };
 use socfmea_memsys::{
@@ -80,7 +80,7 @@ fn bench_injection_campaign(c: &mut Criterion) {
     group.throughput(Throughput::Elements(faults.len() as u64));
     group.sample_size(10);
     group.bench_function("memsys16_small_list", |b| {
-        b.iter(|| black_box(run_campaign(&env, &faults)))
+        b.iter(|| black_box(Campaign::new(&env, &faults).run()))
     });
     group.finish();
 }

@@ -9,7 +9,7 @@
 
 use socfmea_bench::{banner, MemSysSetup};
 use socfmea_core::wide_fault_sites;
-use socfmea_faultsim::{run_campaign, EnvironmentBuilder, Fault, FaultKind};
+use socfmea_faultsim::{Campaign, EnvironmentBuilder, Fault, FaultKind};
 use socfmea_memsys::config::MemSysConfig;
 use socfmea_netlist::Logic;
 
@@ -60,7 +60,7 @@ fn main() {
             })
         })
         .collect();
-    let result = run_campaign(&env, &candidates);
+    let result = Campaign::new(&env, &candidates).run();
     let best = result
         .outcomes
         .iter()

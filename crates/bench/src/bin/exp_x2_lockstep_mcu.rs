@@ -11,8 +11,7 @@
 use socfmea_bench::{banner, pct};
 use socfmea_core::{extract_zones, report};
 use socfmea_faultsim::{
-    analyze, generate_fault_list, run_campaign, EnvironmentBuilder, FaultListConfig,
-    OperationalProfile,
+    analyze, generate_fault_list, Campaign, EnvironmentBuilder, FaultListConfig, OperationalProfile,
 };
 use socfmea_mcu::rtl::run_workload;
 use socfmea_mcu::{build_mcu, fmea, programs, McuConfig, McuPins};
@@ -65,7 +64,7 @@ fn main() {
                 ..FaultListConfig::default()
             },
         );
-        let campaign = run_campaign(&env, &faults);
+        let campaign = Campaign::new(&env, &faults).run();
         let (ne, sd, dd, du) = campaign.outcome_counts();
         println!(
             "campaign: {} faults -> {ne} no-effect, {sd} safe-detected, {dd} dangerous-detected, {du} dangerous-UNDETECTED",

@@ -80,8 +80,9 @@ impl MemSysSetup {
 
     /// Runs a full injection campaign on the checkpointed incremental
     /// engine (`socfmea-accel`) with the given checkpoint interval. The
-    /// measurements are bit-identical to [`campaign_threaded`]
-    /// (Self::campaign_threaded); only the execution statistics differ.
+    /// measurements are bit-identical to
+    /// [`campaign_threaded`](Self::campaign_threaded); only the execution
+    /// statistics differ.
     pub fn campaign_accel(
         &self,
         list: &FaultListConfig,

@@ -1,41 +1,38 @@
-//! Accelerated campaign execution: checkpointed warm starts and
-//! divergence-set propagation, with bit-identical outcomes.
+//! The campaign's one golden artifact, and the sparse engine.
 //!
-//! Opt in with [`Campaign::engine`](crate::Campaign::engine)
-//! ([`Engine::Sparse`]). The
-//! campaign then records one [`GoldenTrace`] (full per-cycle value matrix
-//! plus periodic checkpoints) instead of the baseline's monitor-column
-//! trace, and each fault takes one of two exact fast paths:
+//! Every campaign, whatever its [`Engine`](crate::Engine), prepares one
+//! [`ExecContext`]: the [`GoldenTrace`] (every net's value at every cycle,
+//! plus periodic checkpoints), the propagation [`Topology`], the shared
+//! [`MonitorOracle`] and the zones the fault list targets. The resolved
+//! engine only decides which kernels a worker builds over it:
 //!
+//! * **Lockstep** — the scalar reference: every fault simulated in full
+//!   from power-on ([`simulate_scalar`]).
 //! * **Sparse** (bit flips, stuck-ats, glitches): the fault's effect is a
 //!   pure state override, so the faulty run equals golden until the
 //!   activation cycle by construction. A [`SparseSim`] starts *at* the
 //!   activation cycle and evaluates only the fan-out cone of the nets that
 //!   differ from golden, classifying the remaining cycles straight from the
-//!   trace once the divergence set empties.
-//! * **Warm start** (bridges, clock outages): these change evaluation
-//!   semantics globally, so a full [`Simulator`] runs — but it restores the
-//!   nearest checkpoint at or before the activation cycle instead of
-//!   re-simulating from power-on, skips the monitors on the (provably
-//!   golden) warm-up prefix, and exits early once the fault has washed out
-//!   and the flip-flop state matches golden again.
+//!   trace once the divergence set empties. Bridges and clock outages,
+//!   which change evaluation semantics globally, take the scalar loop's
+//!   checkpointed warm start instead.
+//! * **PPSFP** — word-level batches of stuck-ats
+//!   ([`ppsfp`](crate::ppsfp)), with everything else on the lockstep path.
 //!
-//! Both paths observe SENS/OBSE/output/alarm events under exactly the same
-//! conditions as [`simulate_one`](crate::inject::simulate_one) — the
-//! differential tests in this module and `tests/prop_accel.rs` assert
-//! bit-identical [`FaultOutcome`]s on every fault kind.
+//! All paths report golden-vs-faulty differences to the same oracle, so
+//! they observe SENS/OBSE/output/alarm events under exactly the same
+//! conditions — the differential tests in this module and
+//! `tests/prop_accel.rs` assert bit-identical [`FaultOutcome`]s on every
+//! fault kind.
 
-use crate::campaign::Engine;
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
-use crate::inject::{
-    apply_fault, finalize_outcome, prepare_context, simulate_one, target_net, CampaignContext,
-    FaultOutcome,
-};
+use crate::inject::{finalize_outcome, simulate_scalar, FaultOutcome};
+use crate::monitors::{MonitorOracle, Readings};
 use socfmea_accel::{GoldenTrace, SparseSim, Topology};
 use socfmea_core::ZoneId;
-use socfmea_netlist::{Logic, NetId, Netlist};
-use socfmea_sim::{Simulator, WordSim};
+use socfmea_netlist::Logic;
+use socfmea_sim::Simulator;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -71,138 +68,52 @@ impl Default for FaultMetrics {
     }
 }
 
-/// Everything the accelerated path shares across faults: the golden trace
-/// with its checkpoint store, the propagation topology, and per-net monitor
-/// lookups. Immutable after construction; worker threads share it by
-/// reference (each worker owns its own [`SparseSim`] kernel).
-pub(crate) struct AccelContext {
+/// Everything a campaign shares across faults: the golden trace with its
+/// checkpoint store, the propagation topology, the monitor oracle, and the
+/// zones the fault list targets. Immutable after construction; worker
+/// threads share it by reference (each worker owns its own kernels).
+pub(crate) struct ExecContext {
     pub(crate) trace: GoldenTrace,
     pub(crate) topo: Topology,
-    /// Zone of each observation net (by net index), `None` elsewhere.
-    obs_zone: Vec<Option<ZoneId>>,
-    is_output: Vec<bool>,
-    is_alarm: Vec<bool>,
+    pub(crate) oracle: MonitorOracle,
     pub(crate) injected_zones: BTreeSet<ZoneId>,
 }
 
-/// The campaign's execution strategy, fixed at [`Campaign::run`] time:
-/// the baseline lockstep context, the accelerated one, or the bit-parallel
-/// PPSFP one (which keeps a lockstep context around for the collapse
-/// planner and for faults that cannot ride a word lane).
-///
-/// [`Campaign::run`]: crate::Campaign::run
-pub(crate) enum ExecContext {
-    Baseline(CampaignContext),
-    Accel(AccelContext),
-    Ppsfp(CampaignContext),
-}
-
 impl ExecContext {
-    /// Prepares the context for `env`/`faults` under the chosen (already
-    /// resolved — never [`Engine::Auto`]) strategy.
+    /// Records the golden trace (checkpointed every `checkpoint_interval`
+    /// cycles) and builds the topology and monitor oracle for
+    /// `env`/`faults`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist cannot be levelized.
     pub(crate) fn prepare(
         env: &Environment<'_>,
         faults: &[Fault],
-        engine: Engine,
         checkpoint_interval: usize,
     ) -> ExecContext {
-        match engine {
-            Engine::Lockstep => ExecContext::Baseline(prepare_context(env, faults)),
-            Engine::Sparse => {
-                ExecContext::Accel(prepare_accel_context(env, faults, checkpoint_interval))
-            }
-            Engine::Ppsfp => ExecContext::Ppsfp(prepare_context(env, faults)),
-            Engine::Auto => unreachable!("Engine::Auto is resolved before context preparation"),
-        }
-    }
-
-    /// Zones the fault list targets (drives the coverage collection).
-    pub(crate) fn injected_zones(&self) -> &BTreeSet<ZoneId> {
-        match self {
-            ExecContext::Baseline(c) | ExecContext::Ppsfp(c) => &c.injected_zones,
-            ExecContext::Accel(a) => &a.injected_zones,
-        }
-    }
-
-    /// The per-worker sparse kernel, if this context is accelerated.
-    pub(crate) fn make_sparse<'c>(&'c self, netlist: &'c Netlist) -> Option<SparseSim<'c>> {
-        match self {
-            ExecContext::Baseline(_) | ExecContext::Ppsfp(_) => None,
-            ExecContext::Accel(a) => Some(SparseSim::new(netlist, &a.topo, &a.trace)),
-        }
-    }
-
-    /// The per-worker word-level kernel, if this context is PPSFP.
-    pub(crate) fn make_word<'c>(&self, netlist: &'c Netlist) -> Option<WordSim<'c>> {
-        match self {
-            ExecContext::Baseline(_) | ExecContext::Accel(_) => None,
-            ExecContext::Ppsfp(_) => Some(WordSim::new(netlist).expect("levelizable netlist")),
-        }
-    }
-
-    /// Golden value of a fault-targeted net at a cycle, from whichever
-    /// trace this context carries (the collapse planner needs it to
-    /// reproduce the SENS monitor's target-excitation check).
-    pub(crate) fn golden_value(&self, cycle: usize, net: NetId) -> Logic {
-        match self {
-            ExecContext::Baseline(c) | ExecContext::Ppsfp(c) => c.golden_target(cycle, net),
-            ExecContext::Accel(a) => a.trace.value(cycle, net),
+        ExecContext {
+            trace: GoldenTrace::record(env.netlist, env.workload, checkpoint_interval)
+                .expect("levelizable netlist"),
+            topo: Topology::build(env.netlist).expect("levelizable netlist"),
+            oracle: MonitorOracle::new(env),
+            injected_zones: faults.iter().filter_map(|f| f.zone).collect(),
         }
     }
 
     /// Approximate resident size in bytes (the artifact cache's eviction
-    /// currency): the golden trace (matrix + checkpoints on the
-    /// accelerated path, monitor columns otherwise) plus the per-net
-    /// monitor lookups.
-    pub(crate) fn approx_bytes(&self, env: &Environment<'_>) -> usize {
-        match self {
-            ExecContext::Baseline(c) | ExecContext::Ppsfp(c) => c.approx_bytes(),
-            ExecContext::Accel(a) => {
-                a.trace.matrix_bytes() + a.trace.checkpoint_bytes() + env.netlist.net_count() * 16
-            }
-        }
+    /// currency): the golden matrix and checkpoints plus the monitor
+    /// oracle.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.trace.matrix_bytes() + self.trace.checkpoint_bytes() + self.oracle.approx_bytes()
     }
 }
 
-/// Records the golden trace (with checkpoints) and builds the monitor
-/// lookups for the accelerated path.
-///
-/// # Panics
-///
-/// Panics if the netlist cannot be levelized.
-pub(crate) fn prepare_accel_context(
-    env: &Environment<'_>,
-    faults: &[Fault],
-    checkpoint_interval: usize,
-) -> AccelContext {
-    let trace = GoldenTrace::record(env.netlist, env.workload, checkpoint_interval)
-        .expect("levelizable netlist");
-    let topo = Topology::build(env.netlist).expect("levelizable netlist");
-    let n = env.netlist.net_count();
-    let mut obs_zone = vec![None; n];
-    for &net in &env.observation_nets {
-        obs_zone[net.index()] = env.zone_of_net(net);
-    }
-    let mut is_output = vec![false; n];
-    for &net in &env.functional_outputs {
-        is_output[net.index()] = true;
-    }
-    let mut is_alarm = vec![false; n];
-    for &net in &env.alarm_nets {
-        is_alarm[net.index()] = true;
-    }
-    AccelContext {
-        trace,
-        topo,
-        obs_zone,
-        is_output,
-        is_alarm,
-        injected_zones: faults.iter().filter_map(|f| f.zone).collect(),
-    }
-}
-
-/// Runs one fault under the campaign's execution strategy. The outcome is
-/// bit-identical across strategies; only the metrics differ.
+/// Runs one fault on the worker's kernels. A worker of the sparse engine
+/// carries a `sparse` kernel: state-override faults take the sparse path,
+/// the rest the warm start. Every other worker runs the lockstep
+/// reference. The outcome is bit-identical across paths; only the metrics
+/// differ.
 pub(crate) fn simulate_dispatch(
     env: &Environment<'_>,
     ctx: &ExecContext,
@@ -212,41 +123,24 @@ pub(crate) fn simulate_dispatch(
     fault: &Fault,
     cancel: Option<&AtomicBool>,
 ) -> (FaultOutcome, FaultMetrics) {
-    match ctx {
-        // Under PPSFP, batchable stuck-ats never reach this dispatcher (the
-        // campaign routes them through `ppsfp::simulate_batch`); whatever is
-        // left falls back to the lockstep path, fault by fault.
-        ExecContext::Baseline(c) | ExecContext::Ppsfp(c) => {
-            let fo = simulate_one(env, c, sim, fault_index, fault, cancel);
-            let metrics = FaultMetrics {
-                simulated: env.workload.len() as u64,
-                skipped: 0,
-                engine: "lockstep",
-            };
-            (fo, metrics)
-        }
-        ExecContext::Accel(a) => match fault.kind {
-            FaultKind::BitFlip { .. } | FaultKind::StuckAt { .. } | FaultKind::Glitch { .. } => {
-                simulate_sparse(
-                    env,
-                    a,
-                    sparse.expect("accelerated worker carries a sparse kernel"),
-                    fault_index,
-                    fault,
-                    cancel,
-                )
-            }
-            FaultKind::Bridge { .. } | FaultKind::ClockStuck { .. } => {
-                simulate_warm(env, a, sim, fault_index, fault, cancel)
-            }
-        },
+    match (sparse, &fault.kind) {
+        (
+            Some(sparse),
+            FaultKind::BitFlip { .. } | FaultKind::StuckAt { .. } | FaultKind::Glitch { .. },
+        ) => simulate_sparse(env, ctx, sparse, fault_index, fault, cancel),
+        (sparse, _) => simulate_scalar(env, ctx, sim, fault_index, fault, sparse.is_some(), cancel),
     }
 }
 
 /// The sparse path: divergence-set propagation from the activation cycle.
+///
+/// Kept out of line: inlined into the campaign loop, its per-cycle loop
+/// compiled markedly slower (the hardened F-MEM mixed campaign ran up to
+/// 1.4x longer on one x86-64 core).
+#[inline(never)]
 fn simulate_sparse(
     env: &Environment<'_>,
-    actx: &AccelContext,
+    ctx: &ExecContext,
     sparse: &mut SparseSim<'_>,
     fault_index: usize,
     fault: &Fault,
@@ -254,11 +148,7 @@ fn simulate_sparse(
 ) -> (FaultOutcome, FaultMetrics) {
     let len = env.workload.len();
     let inject = fault.inject_cycle;
-    let target = target_net(fault);
-    let mut first_mismatch = None;
-    let mut alarm_cycle = None;
-    let mut deviated_zones = BTreeSet::new();
-    let mut sens_triggered = false;
+    let mut readings = Readings::new(fault);
     let mut metrics = FaultMetrics {
         simulated: 0,
         // Everything before activation is golden by construction; a fault
@@ -281,33 +171,19 @@ fn simulate_sparse(
             }
             sparse.eval_cycle();
             metrics.simulated += 1;
-            // Every monitor only reacts to faulty-vs-golden differences, so
-            // scanning the (exact) divergence set observes the same events
-            // as the baseline's full-width comparison.
+            // Every net outside the (exact) divergence set equals golden
+            // and can fire no monitor; a divergent net differs from golden
+            // by definition, so at `1` it is asserted.
             for &net in sparse.divergent() {
-                let golden = actx.trace.value(cycle, net);
-                if !sens_triggered && target == Some(net) && golden.is_known() {
-                    sens_triggered = true;
-                }
-                if let Some(zone) = actx.obs_zone[net.index()] {
-                    if golden.is_known() {
-                        deviated_zones.insert(zone);
-                        if Some(zone) == fault.zone {
-                            sens_triggered = true;
-                        }
-                    }
-                }
-                if first_mismatch.is_none() && actx.is_output[net.index()] && golden.is_known() {
-                    first_mismatch = Some(cycle);
-                }
-                // divergent && faulty == 1 implies golden != 1, the exact
-                // baseline alarm condition
-                if alarm_cycle.is_none()
-                    && actx.is_alarm[net.index()]
-                    && sparse.get(net) == Logic::One
-                {
-                    alarm_cycle = Some(cycle);
-                }
+                let known = ctx.trace.value(cycle, net).is_known();
+                let one = sparse.get(net) == Logic::One;
+                ctx.oracle.observe(
+                    std::slice::from_mut(&mut readings),
+                    cycle,
+                    net,
+                    known as u64,
+                    one as u64,
+                );
             }
             sparse.tick();
             if sparse.converged() {
@@ -317,153 +193,13 @@ fn simulate_sparse(
         }
     }
 
-    let fo = finalize_outcome(
-        env,
-        fault,
-        fault_index,
-        first_mismatch,
-        alarm_cycle,
-        sens_triggered,
-        deviated_zones,
-    );
-    (fo, metrics)
-}
-
-/// The warm-start path: full simulation restored from the nearest
-/// checkpoint, monitor-free until activation, early exit on re-convergence.
-fn simulate_warm(
-    env: &Environment<'_>,
-    actx: &AccelContext,
-    sim: &mut Simulator<'_>,
-    fault_index: usize,
-    fault: &Fault,
-    cancel: Option<&AtomicBool>,
-) -> (FaultOutcome, FaultMetrics) {
-    let len = env.workload.len();
-    let inject = fault.inject_cycle;
-    let trace = &actx.trace;
-    let target = target_net(fault);
-    let mut first_mismatch = None;
-    let mut alarm_cycle = None;
-    let mut deviated_zones = BTreeSet::new();
-    let mut sens_triggered = false;
-    let mut clock_off: Option<usize> = None;
-    let mut metrics = FaultMetrics {
-        simulated: 0,
-        skipped: 0,
-        engine: "warm",
-    };
-
-    if inject < len {
-        let cp = trace
-            .checkpoint_at_or_before(inject)
-            .expect("non-empty trace has a cycle-0 checkpoint");
-        // Restoring overwrites all dynamic state, so a reused worker
-        // simulator needs no reset first.
-        sim.restore(cp);
-        let start = cp.cycle() as usize;
-        metrics.skipped += start as u64;
-        for cycle in start..len {
-            if cancel_fired(cancel) {
-                break;
-            }
-            for &(n, v) in env.workload.cycle(cycle) {
-                sim.set(n, v);
-            }
-            if cycle == inject {
-                clock_off = apply_fault(sim, fault);
-            }
-            if let Some(remaining) = clock_off {
-                if remaining == 0 {
-                    sim.suppress_clock(false);
-                    clock_off = None;
-                }
-            }
-            sim.eval();
-            metrics.simulated += 1;
-            if cycle >= inject {
-                // Same monitor block as the baseline, reading golden values
-                // from the trace matrix instead of per-monitor columns.
-                if !sens_triggered {
-                    if let Some(t) = target {
-                        let g = trace.value(cycle, t);
-                        if g.is_known() && sim.get(t) != g {
-                            sens_triggered = true;
-                        }
-                    }
-                }
-                for &net in &env.observation_nets {
-                    let g = trace.value(cycle, net);
-                    if g.is_known() && sim.get(net) != g {
-                        if let Some(zone) = env.zone_of_net(net) {
-                            deviated_zones.insert(zone);
-                            if Some(zone) == fault.zone {
-                                sens_triggered = true;
-                            }
-                        }
-                    }
-                }
-                if first_mismatch.is_none() {
-                    for &net in &env.functional_outputs {
-                        let g = trace.value(cycle, net);
-                        if g.is_known() && sim.get(net) != g {
-                            first_mismatch = Some(cycle);
-                            break;
-                        }
-                    }
-                }
-                if alarm_cycle.is_none() {
-                    for &net in &env.alarm_nets {
-                        if sim.get(net) == Logic::One && trace.value(cycle, net) != Logic::One {
-                            alarm_cycle = Some(cycle);
-                            break;
-                        }
-                    }
-                }
-            }
-            sim.tick();
-            if let Some(remaining) = clock_off.as_mut() {
-                *remaining = remaining.saturating_sub(1);
-            }
-            // Early exit: once no fault hook is active and the stored
-            // flip-flop state equals golden (the q value entering the next
-            // cycle), the rest of the run is cycle-for-cycle golden and can
-            // fire no monitor.
-            if cycle >= inject && cycle + 1 < len && clock_off.is_none() && !sim.has_active_faults()
-            {
-                let ff_state = sim.ff_states();
-                let back_in_step = sim
-                    .netlist()
-                    .dffs()
-                    .iter()
-                    .enumerate()
-                    .all(|(i, ff)| ff_state[i] == trace.value(cycle + 1, ff.q));
-                if back_in_step {
-                    metrics.skipped += (len - (cycle + 1)) as u64;
-                    break;
-                }
-            }
-        }
-    } else {
-        metrics.skipped = len as u64;
-    }
-
-    let fo = finalize_outcome(
-        env,
-        fault,
-        fault_index,
-        first_mismatch,
-        alarm_cycle,
-        sens_triggered,
-        deviated_zones,
-    );
-    (fo, metrics)
+    (finalize_outcome(env, fault, fault_index, readings), metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::Campaign;
+    use crate::campaign::{Campaign, Engine};
     use crate::env::EnvironmentBuilder;
     use crate::faultlist::{generate_fault_list, FaultListConfig};
     use crate::profile::OperationalProfile;

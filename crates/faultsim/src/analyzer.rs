@@ -117,9 +117,9 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
     use crate::env::EnvironmentBuilder;
     use crate::faultlist::{generate_fault_list, FaultListConfig};
-    use crate::inject::run_campaign;
     use socfmea_core::extract::{extract_zones, ExtractConfig};
     use socfmea_rtl::RtlBuilder;
     use socfmea_sim::{assign_bus, Workload};
@@ -157,7 +157,7 @@ mod tests {
                 ..FaultListConfig::default()
             },
         );
-        let result = run_campaign(&env, &faults);
+        let result = Campaign::new(&env, &faults).run();
         let analysis = analyze(&faults, &result, &profile);
 
         let a_id = zones.zone_by_name("a").unwrap().id;

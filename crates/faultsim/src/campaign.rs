@@ -359,7 +359,7 @@ impl CampaignStats {
 
     /// Faults classified from an equivalent representative's outcome
     /// instead of a simulation of their own (0 unless
-    /// [`Campaign::collapse`] is on).
+    /// [`Campaign::collapsing`] is on).
     pub fn faults_collapsed(&self) -> usize {
         self.collapsed.load(Ordering::Relaxed)
     }
@@ -477,9 +477,9 @@ impl CampaignStats {
     /// Snapshot as the summary a [`socfmea_core::ValidationReport`] carries.
     ///
     /// Safe to call mid-run: the injection count, collapse count and
-    /// per-class tallies come from one [consistent
-    /// instant](Self::consistent_counts), so `injections + faults_collapsed`
-    /// always equals the sum of the four outcome counts.
+    /// per-class tallies come from one consistent instant, so
+    /// `injections + faults_collapsed` always equals the sum of the four
+    /// outcome counts.
     pub fn summary(&self) -> CampaignStatsSummary {
         let (injections, faults_collapsed, faults_pruned, counts) = self.consistent_counts();
         let (no_effect, safe_detected, dangerous_detected, dangerous_undetected) = counts;
@@ -693,11 +693,11 @@ impl CampaignArtifacts {
         let engine = engine.resolve_for(faults);
         let checkpoint_interval = checkpoint_interval.max(1);
         let ctx = obs_phase_opt(observer, "prepare", || {
-            ExecContext::prepare(env, faults, engine, checkpoint_interval)
+            ExecContext::prepare(env, faults, checkpoint_interval)
         });
         let prune_plan = (prune == Prune::Static && !faults.is_empty()).then(|| {
             obs_phase_opt(observer, "static-prune", || {
-                PrunePlan::build(env, faults, |cycle, net| ctx.golden_value(cycle, net))
+                PrunePlan::build(env, faults, |cycle, net| ctx.trace.value(cycle, net))
             })
         });
         let collapse_plan = (collapse == Collapse::Dictionary && !faults.is_empty()).then(|| {
@@ -706,12 +706,12 @@ impl CampaignArtifacts {
                     faults,
                     env.workload.len(),
                     &FaultCollapser::build(env),
-                    |cycle, net| ctx.golden_value(cycle, net),
+                    |cycle, net| ctx.trace.value(cycle, net),
                     |i| prune_plan.as_ref().is_some_and(|pp| pp.pruned(i)),
                 )
             })
         });
-        let approx_bytes = ctx.approx_bytes(env) + faults.len() * 24;
+        let approx_bytes = ctx.approx_bytes() + faults.len() * 24;
         CampaignArtifacts {
             engine,
             checkpoint_interval,
@@ -752,6 +752,9 @@ struct FaultTelemetry {
     nanos: u64,
     shard: u64,
 }
+
+/// One simulated fault as it travels from a worker to the merge.
+type Simulated = (FaultOutcome, FaultTelemetry);
 
 /// Pre-resolved observability handles for the campaign's hot path: one
 /// registry lookup per instrument at `run` start instead of one per fault.
@@ -1101,16 +1104,19 @@ impl<'a> Campaign<'a> {
             (None, None) => (0..self.faults.len()).collect(),
         };
         let hooks = self.observer.map(ObsHooks::new);
-        let mut coverage = CoverageCollection::new(ctx.injected_zones().iter().copied());
+        let mut coverage = CoverageCollection::new(ctx.injected_zones.iter().copied());
         self.stats.begin(self.faults.len(), self.threads);
         let outcomes = {
             let _campaign_span = self.observer.map(|obs| obs.span("campaign"));
             let plans = (plan.as_ref(), prune_plan.as_ref());
-            if self.threads == 1 {
-                self.run_serial(ctx, plans, &order, &mut coverage, hooks.as_ref())
-            } else {
-                self.run_sharded(ctx, plans, &order, &mut coverage, hooks.as_ref())
-            }
+            self.run_sharded(
+                ctx,
+                art.engine,
+                plans,
+                &order,
+                &mut coverage,
+                hooks.as_ref(),
+            )
         };
         if self.is_cancelled() {
             self.stats.cancel();
@@ -1303,11 +1309,10 @@ impl<'a> Campaign<'a> {
         slice: &[usize],
         shard: u64,
         stop: Option<&AtomicBool>,
-    ) -> Vec<(FaultOutcome, FaultTelemetry)> {
+    ) -> Vec<Simulated> {
         let cancel = self.cancel.as_deref();
         let stopped = || stop.is_some_and(|s| s.load(Ordering::Relaxed)) || self.is_cancelled();
-        let mut slots: Vec<Option<(FaultOutcome, FaultTelemetry)>> =
-            (0..slice.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<Simulated>> = (0..slice.len()).map(|_| None).collect();
         if let Some(word) = word {
             // Word positions first: every batchable fault of the slice,
             // packed greedily FAULT_LANES at a time.
@@ -1324,7 +1329,7 @@ impl<'a> Campaign<'a> {
                     .map(|&p| (slice[p], &self.faults[slice[p]]))
                     .collect();
                 let t0 = Instant::now();
-                let fos = ppsfp::simulate_batch(self.env, word, &batch, cancel);
+                let fos = ppsfp::simulate_batch(self.env, &ctx.oracle, word, &batch, cancel);
                 let nanos = t0.elapsed().as_nanos() as u64;
                 // An aborted batch returns garbage lanes: drop them and the
                 // rest of the slice (the caller never commits past a hole).
@@ -1405,73 +1410,45 @@ impl<'a> Campaign<'a> {
         results
     }
 
-    fn run_serial(
-        &self,
-        ctx: &ExecContext,
-        plans: (Option<&CollapsePlan>, Option<&PrunePlan>),
-        order: &[usize],
-        coverage: &mut CoverageCollection,
-        hooks: Option<&ObsHooks<'_>>,
-    ) -> Vec<FaultOutcome> {
-        let _shard_span = hooks.map(|h| h.obs.shard_span("campaign/shard", 0));
-        let mut sim = Simulator::new(self.env.netlist).expect("levelizable netlist");
-        let mut sparse = ctx.make_sparse(self.env.netlist);
-        let mut word = ctx.make_word(self.env.netlist);
-        let step = if word.is_some() { FAULT_LANES } else { 1 };
-        let mut outcomes = Vec::with_capacity(self.faults.len());
-        // Leading pruned faults precede the first simulated commit (an
-        // all-pruned list never simulates at all).
-        if self.expand_annotated(plans, coverage, &mut outcomes, hooks) {
-            return outcomes;
-        }
-        'order: for slice in order.chunks(step) {
-            if self.is_cancelled() {
-                break;
-            }
-            let results = self.simulate_slice(
-                ctx,
-                &mut sim,
-                sparse.as_mut(),
-                word.as_mut(),
-                slice,
-                0,
-                None,
-            );
-            for (fo, tel) in results {
-                if self.commit_expanded(plans, coverage, &mut outcomes, fo, &tel, hooks) {
-                    break 'order;
-                }
-            }
-        }
-        outcomes
-    }
-
+    /// Claims chunks of the simulation order, simulates them, and commits
+    /// the outcomes strictly in fault-list order.
+    ///
+    /// Several workers run on scoped threads, claim chunks in the order
+    /// the scheduling seed shuffles, and stream them back to the merge on
+    /// the calling thread. A lone worker runs on the calling thread itself
+    /// and claims in fault-list order, so each chunk is committed — traced,
+    /// and checked for early stop — as soon as it is simulated.
     fn run_sharded(
         &self,
         ctx: &ExecContext,
+        engine: Engine,
         plans: (Option<&CollapsePlan>, Option<&PrunePlan>),
         order: &[usize],
         coverage: &mut CoverageCollection,
         hooks: Option<&ObsHooks<'_>>,
     ) -> Vec<FaultOutcome> {
         let n = order.len();
+        let netlist = self.env.netlist;
         // PPSFP wants whole words per claim: a chunk below FAULT_LANES
         // would cap every batch at the chunk size and waste lanes.
-        let base_word = ctx.make_word(self.env.netlist);
+        let base_word =
+            (engine == Engine::Ppsfp).then(|| WordSim::new(netlist).expect("levelizable netlist"));
         let chunk = if base_word.is_some() {
             self.chunk.max(FAULT_LANES)
         } else {
             self.chunk
         };
         let n_chunks = n.div_ceil(chunk);
+        let workers = self.threads.min(n_chunks.max(1));
         // The seed shuffles only the order in which workers claim chunks.
         let mut claim_order: Vec<usize> = (0..n_chunks).collect();
-        claim_order.shuffle(&mut StdRng::seed_from_u64(self.seed));
+        if workers > 1 {
+            claim_order.shuffle(&mut StdRng::seed_from_u64(self.seed));
+        }
 
         let next_claim = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
-        let base = Simulator::new(self.env.netlist).expect("levelizable netlist");
-        let (tx, rx) = mpsc::channel::<(usize, Vec<(FaultOutcome, FaultTelemetry)>)>();
+        let base = Simulator::new(netlist).expect("levelizable netlist");
         let mut outcomes = Vec::with_capacity(self.faults.len());
         // Leading pruned faults precede the first simulated commit (an
         // all-pruned list never simulates at all).
@@ -1479,79 +1456,89 @@ impl<'a> Campaign<'a> {
             return outcomes;
         }
 
-        std::thread::scope(|scope| {
-            for shard in 0..self.threads.min(n_chunks.max(1)) {
-                let tx = tx.clone();
-                let (base, base_word, claim_order, next_claim, stop) =
-                    (&base, &base_word, &claim_order, &next_claim, &stop);
-                scope.spawn(move || {
-                    let _shard_span =
-                        hooks.map(|h| h.obs.shard_span("campaign/shard", shard as u64));
-                    let mut sim = base.clone_fresh();
-                    let mut sparse = ctx.make_sparse(self.env.netlist);
-                    // cloning shares the levelization; each batch resets
-                    // the dynamic state anyway
-                    let mut word = base_word.clone();
-                    loop {
-                        // A set stop flag means the result is already
-                        // fully committed; no further chunk can be needed.
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let claim = next_claim.fetch_add(1, Ordering::Relaxed);
-                        if claim >= claim_order.len() {
-                            return;
-                        }
-                        let ci = claim_order[claim];
-                        let lo = ci * chunk;
-                        let hi = (lo + chunk).min(n);
-                        let chunk_out = self.simulate_slice(
-                            ctx,
-                            &mut sim,
-                            sparse.as_mut(),
-                            word.as_mut(),
-                            &order[lo..hi],
-                            shard as u64,
-                            Some(stop),
-                        );
-                        if tx.send((ci, chunk_out)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-
-            // Deterministic merge: buffer out-of-order chunks, commit
-            // strictly in fault-list order. Trace records are emitted here,
-            // on the merge thread, so their file order matches fault-list
-            // order for any thread count.
-            let mut pending: BTreeMap<usize, Vec<(FaultOutcome, FaultTelemetry)>> = BTreeMap::new();
-            let mut next_commit = 0usize;
-            'merge: for (ci, chunk_out) in rx.iter() {
-                pending.insert(ci, chunk_out);
-                while let Some(chunk_out) = pending.remove(&next_commit) {
-                    // A cancelled worker sends a short chunk: commit its
-                    // in-order prefix, then stop — everything past the hole
-                    // must stay uncommitted.
-                    let expected = (next_commit * chunk + chunk).min(n) - next_commit * chunk;
-                    let partial = chunk_out.len() < expected;
-                    next_commit += 1;
-                    for (fo, tel) in chunk_out {
-                        if self.commit_expanded(plans, coverage, &mut outcomes, fo, &tel, hooks) {
-                            stop.store(true, Ordering::Relaxed);
-                            break 'merge;
-                        }
-                    }
-                    if partial {
-                        stop.store(true, Ordering::Relaxed);
-                        break 'merge;
-                    }
+        // One worker: claim, simulate, and hand each chunk to `deliver`
+        // until it declines or the claims run out.
+        let work = |shard: usize, deliver: &mut dyn FnMut(usize, Vec<Simulated>) -> bool| {
+            let _shard_span = hooks.map(|h| h.obs.shard_span("campaign/shard", shard as u64));
+            // cloning shares the levelization; each fault or batch resets
+            // the dynamic state anyway
+            let mut sim = base.clone_fresh();
+            let mut sparse =
+                (engine == Engine::Sparse).then(|| SparseSim::new(netlist, &ctx.topo, &ctx.trace));
+            let mut word = base_word.clone();
+            // A set stop flag means the result is already fully committed;
+            // no further chunk can be needed.
+            while !stop.load(Ordering::Relaxed) {
+                let claim = next_claim.fetch_add(1, Ordering::Relaxed);
+                let Some(&ci) = claim_order.get(claim) else {
+                    return;
+                };
+                let lo = ci * chunk;
+                let hi = (lo + chunk).min(n);
+                let chunk_out = self.simulate_slice(
+                    ctx,
+                    &mut sim,
+                    sparse.as_mut(),
+                    word.as_mut(),
+                    &order[lo..hi],
+                    shard as u64,
+                    Some(&stop),
+                );
+                if !deliver(ci, chunk_out) {
+                    return;
                 }
             }
-            // Receiver drops here; workers still sending see a closed
-            // channel and exit. The scope joins them before returning.
-        });
+        };
+
+        // Deterministic merge: buffer out-of-order chunks, commit strictly
+        // in fault-list order; true once the result is complete. Trace
+        // records are emitted here, on the calling thread, so their file
+        // order matches fault-list order for any thread count.
+        let mut pending: BTreeMap<usize, Vec<Simulated>> = BTreeMap::new();
+        let mut next_commit = 0usize;
+        let mut merge = |ci: usize, chunk_out: Vec<Simulated>| -> bool {
+            pending.insert(ci, chunk_out);
+            while let Some(chunk_out) = pending.remove(&next_commit) {
+                // A cancelled worker sends a short chunk: commit its
+                // in-order prefix, then stop — everything past the hole
+                // must stay uncommitted.
+                let expected = (next_commit * chunk + chunk).min(n) - next_commit * chunk;
+                let partial = chunk_out.len() < expected;
+                next_commit += 1;
+                for (fo, tel) in chunk_out {
+                    if self.commit_expanded(plans, coverage, &mut outcomes, fo, &tel, hooks) {
+                        return true;
+                    }
+                }
+                if partial {
+                    return true;
+                }
+            }
+            false
+        };
+
+        if workers == 1 {
+            work(0, &mut |ci, chunk_out| !merge(ci, chunk_out));
+        } else {
+            std::thread::scope(|scope| {
+                let (tx, rx) = mpsc::channel::<(usize, Vec<Simulated>)>();
+                for shard in 0..workers {
+                    let (tx, work) = (tx.clone(), &work);
+                    scope.spawn(move || {
+                        work(shard, &mut |ci, chunk_out| tx.send((ci, chunk_out)).is_ok())
+                    });
+                }
+                drop(tx);
+                for (ci, chunk_out) in rx.iter() {
+                    if merge(ci, chunk_out) {
+                        stop.store(true, Ordering::Relaxed);
+                        break;
+                    }
+                }
+                // The receiver drops here; workers still sending see a
+                // closed channel and exit. The scope joins them.
+            });
+        }
         outcomes
     }
 }
@@ -1561,7 +1548,6 @@ mod tests {
     use super::*;
     use crate::env::EnvironmentBuilder;
     use crate::faultlist::{generate_fault_list, FaultListConfig};
-    use crate::inject::run_campaign;
     use socfmea_core::extract::{extract_zones, ExtractConfig};
     use socfmea_rtl::RtlBuilder;
     use socfmea_sim::{assign_bus, Workload};
@@ -1662,17 +1648,6 @@ mod tests {
     }
 
     #[test]
-    fn run_campaign_wrapper_matches_builder() {
-        let fx = Fixture::new(10);
-        let env = fx.env();
-        let faults = fault_list(&env);
-        assert_eq!(
-            run_campaign(&env, &faults),
-            Campaign::new(&env, &faults).threads(1).run()
-        );
-    }
-
-    #[test]
     fn stats_count_every_fault_and_throughput_is_positive() {
         let fx = Fixture::new(10);
         let env = fx.env();
@@ -1693,13 +1668,11 @@ mod tests {
         assert_eq!(summary.threads, 2);
     }
 
-    #[test]
-    fn early_stop_truncates_identically_across_thread_counts() {
-        let fx = Fixture::new(12);
-        let env = fx.env();
-        // A crafted list whose coverage saturates mid-list: the `par` zone
-        // is only touched by fault #5, so SENS hits 100 % there and the
-        // campaign must stop with exactly 6 outcomes committed.
+    /// A crafted list whose coverage saturates mid-list: the `par` zone is
+    /// only touched by fault #5, so SENS hits 100 % there and an
+    /// early-stopping campaign must stop with exactly 6 outcomes
+    /// committed. `tail` more data-register flips follow.
+    fn early_stop_list(fx: &Fixture, tail: usize) -> Vec<Fault> {
         let data = fx.zones.zone_by_name("regs/data").unwrap();
         let par = fx.zones.zone_by_name("regs/par").unwrap();
         let socfmea_core::ZoneKind::RegisterGroup { dffs: data_dffs } = &data.kind else {
@@ -1718,13 +1691,22 @@ mod tests {
             .map(|i| flip(data_dffs[i % data_dffs.len()], data.id, 1 + i))
             .collect();
         faults.push(flip(par_dffs[0], par.id, 2));
-        faults.extend((0..6).map(|i| flip(data_dffs[i % data_dffs.len()], data.id, 2 + i)));
-        let policy = EarlyStop::CoverageComplete {
-            expect_diagnostics: true,
-        };
+        faults.extend((0..tail).map(|i| flip(data_dffs[i % data_dffs.len()], data.id, 2 + i % 6)));
+        faults
+    }
+
+    const STOP_ON_COVERAGE: EarlyStop = EarlyStop::CoverageComplete {
+        expect_diagnostics: true,
+    };
+
+    #[test]
+    fn early_stop_truncates_identically_across_thread_counts() {
+        let fx = Fixture::new(12);
+        let env = fx.env();
+        let faults = early_stop_list(&fx, 6);
         let serial = Campaign::new(&env, &faults)
             .threads(1)
-            .early_stop(policy)
+            .early_stop(STOP_ON_COVERAGE)
             .run();
         let full = Campaign::new(&env, &faults).threads(1).run();
         assert!(
@@ -1737,11 +1719,38 @@ mod tests {
             let sharded = Campaign::new(&env, &faults)
                 .threads(threads)
                 .chunk(2)
-                .early_stop(policy)
+                .early_stop(STOP_ON_COVERAGE)
                 .run();
             assert_eq!(
                 serial, sharded,
                 "early-stop divergence at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_worker_claims_in_fault_list_order_whatever_the_seed() {
+        // The scheduling seed must not reorder a single worker's claims:
+        // otherwise it simulates most of the list before the chunk holding
+        // the stopping point commits.
+        let fx = Fixture::new(12);
+        let env = fx.env();
+        let faults = early_stop_list(&fx, 60);
+        let chunk = 2;
+        for seed in [1, 42, 0xdead_beef] {
+            let campaign = Campaign::new(&env, &faults)
+                .threads(1)
+                .seed(seed)
+                .chunk(chunk)
+                .early_stop(STOP_ON_COVERAGE);
+            let stats = campaign.stats();
+            let result = campaign.run();
+            assert_eq!(result.outcomes.len(), 6, "seed {seed}");
+            assert!(
+                stats.faults_done() < result.outcomes.len() + chunk,
+                "seed {seed}: {} faults simulated for {} committed",
+                stats.faults_done(),
+                result.outcomes.len()
             );
         }
     }
@@ -1762,7 +1771,7 @@ mod tests {
         let fx = Fixture::new(8);
         let env = fx.env();
         let faults = fault_list(&env);
-        let reference = run_campaign(&env, &faults);
+        let reference = Campaign::new(&env, &faults).run();
         let clamped = Campaign::new(&env, &faults).threads(0).chunk(0).run();
         assert_eq!(reference, clamped);
     }

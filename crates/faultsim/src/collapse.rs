@@ -54,7 +54,7 @@
 //!   [`Campaign`](crate::Campaign) keeps simulating dominated faults so
 //!   the per-fault evidence stays exact.
 //!
-//! The campaign integration lives in [`CollapsePlan`]: representatives are
+//! The campaign integration lives in `CollapsePlan`: representatives are
 //! simulated, and a *fault dictionary* back-annotates each representative's
 //! outcome onto every member of its class, so stats, coverage, DC/SFF and
 //! per-zone attribution are still reported over the full uncollapsed list —

@@ -112,7 +112,7 @@ pub struct FaultListConfig {
     /// generated list is compacted across structurally equivalent sites.
     ///
     /// This changes *which faults are generated*. It is independent of
-    /// [`Campaign::collapse`](crate::Campaign::collapse), which never
+    /// [`Campaign::collapsing`](crate::Campaign::collapsing), which never
     /// changes the list and only skips redundant simulations.
     pub collapse: bool,
     /// RNG seed: identical seeds give identical lists.

@@ -1,19 +1,26 @@
-//! The Fault Injection Manager: lockstep golden-vs-faulty campaigns.
+//! The Fault Injection Manager: golden-vs-faulty classification and the
+//! scalar (lockstep) reference engine.
 //!
 //! "Fault Injection Manager: this function runs all the injection campaign
 //! based on automatically generated fault lists and collects all the
 //! results" (paper §5). Every fault is simulated against the identical
-//! workload; deviations are measured at the observation points, detections
-//! at the diagnostic alarms, and hazards at the functional outputs.
+//! workload and compared with the campaign's one golden trace
+//! ([`socfmea_accel::GoldenTrace`]) through the shared monitor oracle
+//! ([`monitors`](crate::monitors)): deviations are measured at the
+//! observation points, detections at the diagnostic alarms, and hazards at
+//! the functional outputs. One shared tail turns those readings into the
+//! IEC 61508 [`Outcome`] for every engine.
 
+use crate::accel::{cancel_fired, ExecContext, FaultMetrics};
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
-use crate::monitors::CoverageCollection;
+use crate::monitors::{CoverageCollection, Readings};
 use socfmea_core::ZoneId;
-use socfmea_netlist::{Logic, NetId};
+use socfmea_netlist::NetId;
 use socfmea_sim::Simulator;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::atomic::AtomicBool;
 
 /// Classification of one injection, following the IEC 61508 split the SFF
 /// needs.
@@ -123,73 +130,6 @@ impl CampaignResult {
     }
 }
 
-/// Per-cycle golden reference values.
-pub(crate) struct GoldenTrace {
-    obs: Vec<Vec<Logic>>,
-    outputs: Vec<Vec<Logic>>,
-    alarms: Vec<Vec<Logic>>,
-    /// Values of the faults' own target nets (for the SENS monitor).
-    targets: Vec<Vec<Logic>>,
-}
-
-/// Everything a campaign shares across faults: the golden trace, the SENS
-/// target-column lookup, and the set of zones the fault list targets.
-///
-/// Recorded once per campaign; immutable afterwards, so worker threads can
-/// share it by reference.
-pub(crate) struct CampaignContext {
-    golden: GoldenTrace,
-    target_col: std::collections::BTreeMap<NetId, usize>,
-    pub(crate) injected_zones: BTreeSet<ZoneId>,
-}
-
-impl CampaignContext {
-    /// Golden value of a fault-targeted net at a cycle (the SENS monitor's
-    /// reference; used by the collapse planner to reproduce target
-    /// excitation without re-simulating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` is not a target of any fault in the campaign.
-    pub(crate) fn golden_target(&self, cycle: usize, net: NetId) -> Logic {
-        self.golden.targets[cycle][self.target_col[&net]]
-    }
-
-    /// Approximate resident size in bytes (the artifact cache's eviction
-    /// currency): the four golden monitor-column matrices plus the SENS
-    /// lookup.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        let per_cycle = self.golden.obs.first().map_or(0, Vec::len)
-            + self.golden.outputs.first().map_or(0, Vec::len)
-            + self.golden.alarms.first().map_or(0, Vec::len)
-            + self.golden.targets.first().map_or(0, Vec::len);
-        self.golden.obs.len() * per_cycle + self.target_col.len() * 24
-    }
-}
-
-/// Records the golden trace and SENS lookup for `faults` over `env`.
-///
-/// # Panics
-///
-/// Panics if the netlist cannot be levelized.
-pub(crate) fn prepare_context(env: &Environment<'_>, faults: &[Fault]) -> CampaignContext {
-    let mut target_nets: Vec<NetId> = faults.iter().filter_map(target_net).collect();
-    target_nets.sort_unstable();
-    target_nets.dedup();
-    let target_col = target_nets
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
-        .collect();
-    let golden = record_golden(env, &target_nets);
-    let injected_zones = faults.iter().filter_map(|f| f.zone).collect();
-    CampaignContext {
-        golden,
-        target_col,
-        injected_zones,
-    }
-}
-
 /// The net a fault physically disturbs (used by the SENS monitor to decide
 /// whether the injection actually changed anything).
 pub(crate) fn target_net(fault: &Fault) -> Option<NetId> {
@@ -198,31 +138,6 @@ pub(crate) fn target_net(fault: &Fault) -> Option<NetId> {
         FaultKind::Bridge { victim, .. } => Some(*victim),
         FaultKind::BitFlip { .. } | FaultKind::ClockStuck { .. } => None,
     }
-}
-
-fn record_golden(env: &Environment<'_>, target_nets: &[NetId]) -> GoldenTrace {
-    let mut sim = Simulator::new(env.netlist).expect("levelizable netlist");
-    let mut trace = GoldenTrace {
-        obs: Vec::with_capacity(env.workload.len()),
-        outputs: Vec::with_capacity(env.workload.len()),
-        alarms: Vec::with_capacity(env.workload.len()),
-        targets: Vec::with_capacity(env.workload.len()),
-    };
-    env.workload.run(&mut sim, |_, s| {
-        trace
-            .obs
-            .push(env.observation_nets.iter().map(|&n| s.get(n)).collect());
-        trace
-            .outputs
-            .push(env.functional_outputs.iter().map(|&n| s.get(n)).collect());
-        trace
-            .alarms
-            .push(env.alarm_nets.iter().map(|&n| s.get(n)).collect());
-        trace
-            .targets
-            .push(target_nets.iter().map(|&n| s.get(n)).collect());
-    });
-    trace
 }
 
 pub(crate) fn apply_fault(sim: &mut Simulator<'_>, fault: &Fault) -> Option<usize> {
@@ -255,122 +170,128 @@ pub(crate) fn apply_fault(sim: &mut Simulator<'_>, fault: &Fault) -> Option<usiz
     }
 }
 
-/// Runs one fault lockstep against the shared golden trace, classifying the
-/// outcome.
+/// Runs one fault on the scalar simulator against the campaign's golden
+/// trace and classifies it. Two engine paths share this loop:
 ///
-/// `sim` is reused across calls: the function resets it to power-on first,
-/// so a campaign worker pays the levelization cost once (via
-/// [`Simulator::clone_fresh`]) and only the cheap state reset per fault.
-/// The result is a pure function of `(env, ctx, fault)` — it does not
-/// depend on what the simulator ran before, which is what makes sharded
-/// campaigns bit-identical to serial ones.
-pub(crate) fn simulate_one(
+/// * **Lockstep** (`warm == false`), the reference engine: `sim` is reset
+///   to power-on and the whole workload is simulated and observed.
+/// * **Warm start** (`warm == true`; bridges and clock outages on the
+///   sparse engine, which change evaluation semantics globally): `sim`
+///   restores the nearest checkpoint at or before the activation cycle,
+///   skips the monitors on the (provably golden) warm-up prefix, and exits
+///   early once the fault has washed out and the flip-flop state matches
+///   golden again.
+///
+/// `sim` is reused across calls: a campaign worker pays the levelization
+/// cost once (via [`Simulator::clone_fresh`]). The result is a pure
+/// function of `(env, ctx, fault)` — it does not depend on what the
+/// simulator ran before, which is what makes sharded campaigns
+/// bit-identical to serial ones. Kept out of line for the same reason as
+/// the sparse path: the per-cycle loop compiles worse inlined into the
+/// campaign loop.
+#[inline(never)]
+pub(crate) fn simulate_scalar(
     env: &Environment<'_>,
-    ctx: &CampaignContext,
+    ctx: &ExecContext,
     sim: &mut Simulator<'_>,
     fault_index: usize,
     fault: &Fault,
-    cancel: Option<&std::sync::atomic::AtomicBool>,
-) -> FaultOutcome {
-    sim.reset_to_power_on();
-    let golden = &ctx.golden;
-    let mut first_mismatch = None;
-    let mut alarm_cycle = None;
-    let mut deviated_zones = BTreeSet::new();
-    let mut sens_triggered = false;
+    warm: bool,
+    cancel: Option<&AtomicBool>,
+) -> (FaultOutcome, FaultMetrics) {
+    let len = env.workload.len();
+    let inject = fault.inject_cycle;
+    let mut readings = Readings::new(fault);
+    let start = if !warm {
+        sim.reset_to_power_on();
+        0
+    } else if inject < len {
+        let cp = ctx
+            .trace
+            .checkpoint_at_or_before(inject)
+            .expect("non-empty trace has a cycle-0 checkpoint");
+        // Restoring overwrites all dynamic state, so a reused worker
+        // simulator needs no reset first.
+        sim.restore(cp);
+        cp.cycle() as usize
+    } else {
+        len // never activates: the whole run is golden
+    };
+    let observe_from = if warm { inject } else { 0 };
+    let mut metrics = FaultMetrics {
+        simulated: 0,
+        skipped: start as u64,
+        engine: if warm { "warm" } else { "lockstep" },
+    };
     let mut clock_off: Option<usize> = None;
 
-    for (cycle, inputs) in env.workload.iter().enumerate() {
-        if crate::accel::cancel_fired(cancel) {
+    for cycle in start..len {
+        if cancel_fired(cancel) {
             break;
         }
-        for &(n, v) in inputs {
+        for &(n, v) in env.workload.cycle(cycle) {
             sim.set(n, v);
         }
-        if cycle == fault.inject_cycle {
+        if cycle == inject {
             clock_off = apply_fault(sim, fault);
         }
-        if let Some(remaining) = clock_off {
-            if remaining == 0 {
-                sim.suppress_clock(false);
-                clock_off = None;
-            }
+        if clock_off == Some(0) {
+            sim.suppress_clock(false);
+            clock_off = None;
         }
         sim.eval();
-
-        // SENS: did the injection physically disturb its target net?
-        if !sens_triggered {
-            if let Some(t) = target_net(fault) {
-                let col = ctx.target_col[&t];
-                let g = golden.targets[cycle][col];
-                if g.is_known() && sim.get(t) != g {
-                    sens_triggered = true;
-                }
-            }
+        metrics.simulated += 1;
+        if cycle >= observe_from {
+            ctx.oracle
+                .observe_values(&mut readings, cycle, ctx.trace.row(cycle), sim.values());
         }
-        // OBSE: observation-point deviations
-        for (oi, &net) in env.observation_nets.iter().enumerate() {
-            let g = golden.obs[cycle][oi];
-            let f = sim.get(net);
-            if g.is_known() && f != g {
-                if let Some(zone) = env.zone_of_net(net) {
-                    deviated_zones.insert(zone);
-                    if Some(zone) == fault.zone {
-                        sens_triggered = true;
-                    }
-                }
-            }
-        }
-        // functional outputs
-        if first_mismatch.is_none() {
-            for (oi, &net) in env.functional_outputs.iter().enumerate() {
-                let g = golden.outputs[cycle][oi];
-                if g.is_known() && sim.get(net) != g {
-                    first_mismatch = Some(cycle);
-                    break;
-                }
-            }
-        }
-        // alarms
-        if alarm_cycle.is_none() {
-            for (ai, &net) in env.alarm_nets.iter().enumerate() {
-                let g = golden.alarms[cycle][ai];
-                if sim.get(net) == Logic::One && g != Logic::One {
-                    alarm_cycle = Some(cycle);
-                    break;
-                }
-            }
-        }
-
         sim.tick();
         if let Some(remaining) = clock_off.as_mut() {
             *remaining = remaining.saturating_sub(1);
         }
+        // Warm-start early exit: once no fault hook is active and the
+        // stored flip-flop state equals golden (the q value entering the
+        // next cycle), the rest of the run is cycle-for-cycle golden and
+        // can fire no monitor.
+        if warm
+            && cycle >= inject
+            && cycle + 1 < len
+            && clock_off.is_none()
+            && !sim.has_active_faults()
+        {
+            let ff_state = sim.ff_states();
+            let back_in_step = sim
+                .netlist()
+                .dffs()
+                .iter()
+                .enumerate()
+                .all(|(i, ff)| ff_state[i] == ctx.trace.value(cycle + 1, ff.q));
+            if back_in_step {
+                metrics.skipped += (len - (cycle + 1)) as u64;
+                break;
+            }
+        }
     }
 
-    finalize_outcome(
-        env,
-        fault,
-        fault_index,
-        first_mismatch,
-        alarm_cycle,
-        sens_triggered,
-        deviated_zones,
-    )
+    (finalize_outcome(env, fault, fault_index, readings), metrics)
 }
 
-/// Turns raw monitor observations into a classified [`FaultOutcome`] —
-/// the shared tail of the baseline and accelerated simulation paths, so
-/// both apply identical SENS adjustments and SW-test classification.
+/// Turns a fault's monitor [`Readings`] into a classified
+/// [`FaultOutcome`] — the shared tail of every engine path, so all apply
+/// identical SENS adjustments and SW-test classification.
 pub(crate) fn finalize_outcome(
     env: &Environment<'_>,
     fault: &Fault,
     fault_index: usize,
-    first_mismatch: Option<usize>,
-    alarm_cycle: Option<usize>,
-    mut sens_triggered: bool,
-    mut deviated_zones: BTreeSet<ZoneId>,
+    readings: Readings,
 ) -> FaultOutcome {
+    let Readings {
+        first_mismatch,
+        alarm_cycle,
+        mut sens_triggered,
+        mut deviated_zones,
+        ..
+    } = readings;
     // A bit flip or clock outage is itself the zone failure: count the
     // physical act as SENS even if the anchor comparison missed it.
     if matches!(
@@ -407,36 +328,6 @@ pub(crate) fn finalize_outcome(
     }
 }
 
-/// Runs the whole campaign over the environment's workload, serially.
-///
-/// The golden trace is recorded once; each fault then runs lockstep against
-/// it. Differences are only counted where the golden value is known
-/// (`0`/`1`), so un-initialised `X` state does not produce spurious
-/// deviations.
-///
-/// This is a thin wrapper over the [`Campaign`](crate::campaign::Campaign)
-/// builder — `Campaign::new(env, faults).threads(1).run()` — kept for
-/// source compatibility; use the builder directly for multi-threaded runs,
-/// live progress counters or early stop.
-///
-/// # Panics
-///
-/// Panics if the netlist cannot be levelized (prevented by construction).
-pub fn run_campaign(env: &Environment<'_>, faults: &[Fault]) -> CampaignResult {
-    crate::campaign::Campaign::new(env, faults).threads(1).run()
-}
-
-/// Runs one single fault (convenience for tests/examples); returns its
-/// outcome.
-pub fn run_single(env: &Environment<'_>, fault: Fault) -> FaultOutcome {
-    let result = run_campaign(env, std::slice::from_ref(&fault));
-    result
-        .outcomes
-        .into_iter()
-        .next()
-        .expect("one fault, one outcome")
-}
-
 /// Convenience: the functional outputs of a netlist as a probe list
 /// (helper for examples).
 pub fn output_nets(env: &Environment<'_>) -> Vec<NetId> {
@@ -446,10 +337,18 @@ pub fn output_nets(env: &Environment<'_>) -> Vec<NetId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
     use crate::env::EnvironmentBuilder;
     use socfmea_core::extract::{extract_zones, ExtractConfig};
+    use socfmea_netlist::Logic;
     use socfmea_rtl::RtlBuilder;
     use socfmea_sim::{assign_bus, Workload};
+
+    /// The outcome of a one-fault campaign.
+    fn outcome_of(env: &Environment<'_>, fault: Fault) -> FaultOutcome {
+        let mut result = Campaign::new(env, std::slice::from_ref(&fault)).run();
+        result.outcomes.remove(0)
+    }
 
     /// A 4-bit register with parity protection: data flows d -> reg -> out;
     /// a parity bit is stored alongside and checked at readout, raising
@@ -503,7 +402,7 @@ mod tests {
         let socfmea_core::ZoneKind::RegisterGroup { dffs } = &data.kind else {
             panic!("register zone expected");
         };
-        let fo = run_single(
+        let fo = outcome_of(
             &env,
             Fault {
                 kind: FaultKind::BitFlip { dff: dffs[0] },
@@ -532,7 +431,7 @@ mod tests {
         let _ = d0;
         // glitch the parity-in cone at a cycle where it matches
         let net = nl.net_by_name("data[0]").unwrap();
-        let fo = run_single(
+        let fo = outcome_of(
             &env,
             Fault {
                 kind: FaultKind::Glitch {
@@ -556,7 +455,7 @@ mod tests {
         let w = workload(&nl, 12);
         let env = env_of(&nl, &zones, &w);
         let perr = nl.net_by_name("alarm_parity").unwrap();
-        let fo = run_single(
+        let fo = outcome_of(
             &env,
             Fault {
                 kind: FaultKind::StuckAt {
@@ -587,7 +486,7 @@ mod tests {
         let socfmea_core::ZoneKind::RegisterGroup { dffs } = &data.kind else {
             panic!();
         };
-        let fo = run_single(
+        let fo = outcome_of(
             &env,
             Fault {
                 kind: FaultKind::BitFlip { dff: dffs[2] },
@@ -621,7 +520,7 @@ mod tests {
                 label: "flip".into(),
             })
             .collect();
-        let result = run_campaign(&env, &faults);
+        let result = Campaign::new(&env, &faults).run();
         assert_eq!(result.outcomes.len(), 4);
         let (ne, sd, dd, du) = result.outcome_counts();
         assert_eq!(ne + sd + dd + du, 4);
@@ -637,7 +536,7 @@ mod tests {
         let zones = extract_zones(&nl, &ExtractConfig::default());
         let w = workload(&nl, 12);
         let env = env_of(&nl, &zones, &w);
-        let fo = run_single(
+        let fo = outcome_of(
             &env,
             Fault {
                 kind: FaultKind::ClockStuck { cycles: 2 },

@@ -22,12 +22,13 @@
 //!   representative per class and back-annotates the outcome onto every
 //!   member (fault dictionary) — bit-identical results over the full
 //!   uncollapsed list,
-//! * [`inject`] — **Fault Injection Manager**: runs the campaign, lockstep
-//!   golden-vs-faulty, classifying each injection as safe / dangerous
-//!   detected / dangerous undetected,
-//! * [`campaign`] — the sharded campaign engine: the [`Campaign`] builder
-//!   shards the fault list over worker threads and merges outcomes in
-//!   fault-list order, so results are bit-identical for any thread count,
+//! * [`inject`] — **Fault Injection Manager**: golden-vs-faulty
+//!   classification of each injection as safe / dangerous detected /
+//!   dangerous undetected, and the scalar lockstep reference engine,
+//! * [`campaign`] — the campaign loop: the [`Campaign`] builder shards the
+//!   fault list over worker threads (one worker on the calling thread when
+//!   single-threaded) and merges outcomes in fault-list order, so results
+//!   are bit-identical for any thread count,
 //!   with live progress counters ([`CampaignStats`]) and optional early
 //!   stop on coverage saturation. `Campaign::engine(Engine::…)` selects the
 //!   execution strategy — [`Engine::Sparse`] swaps in the checkpointed
@@ -35,11 +36,13 @@
 //!   divergence-set propagation, convergence early exit),
 //!   [`Engine::Ppsfp`] batches stuck-at faults into the 63 fault lanes of
 //!   the word-level simulator next to the golden machine in lane 0, and
-//!   [`Engine::Auto`] resolves per fault list — every engine yields the
-//!   same bit-identical result, far fewer evaluated cycles,
-//! * [`monitors`] — **Monitors and Coverage Collection**: SENS/OBSE/DIAG
-//!   coverage items; the campaign is complete only when every item is
-//!   covered,
+//!   [`Engine::Auto`] resolves per fault list — every engine runs over the
+//!   campaign's one golden trace and yields the same bit-identical result,
+//!   far fewer evaluated cycles,
+//! * [`monitors`] — **Monitors and Coverage Collection**: the one
+//!   SENS/OBSE/output/alarm monitor oracle every engine reports to, and
+//!   the SENS/OBSE/DIAG coverage items; the campaign is complete only when
+//!   every item is covered,
 //! * [`analyzer`] — **Result analyzer**: fills the measured S/D/DDF sheet
 //!   ([`socfmea_core::MeasuredZone`]) and the per-zone table of effects for
 //!   the FMEA cross-check,
@@ -68,7 +71,7 @@ pub use campaign::{
 pub use collapse::{DominancePair, FaultCollapser};
 pub use env::{Environment, EnvironmentBuilder};
 pub use faultlist::{collapse_stuck_at, generate_fault_list, Fault, FaultKind, FaultListConfig};
-pub use inject::{run_campaign, CampaignResult, FaultOutcome, Outcome};
+pub use inject::{CampaignResult, FaultOutcome, Outcome};
 pub use monitors::CoverageCollection;
 pub use permfault::{
     fault_universe, ppsfp_coverage, serial_coverage, FaultGrade, PermanentFaultReport, StuckAtFault,

@@ -7,10 +7,186 @@
 //! faulty and golden DUT, how many times the diagnostic point (DIAG) changed
 //! and so forth. Only when all the coverage items are covered at 100% we can
 //! consider complete the fault injection experiment" (paper §5).
+//!
+//! Every engine observes its faults through one `MonitorOracle`, built
+//! once per campaign: the lockstep and warm-start engines feed it one lane
+//! per fault, the sparse engine feeds it its divergence set, and PPSFP
+//! feeds it the per-lane masks of a whole word. The per-fault readings it
+//! fills are classified by one shared tail, so every engine reaches the
+//! same [`FaultOutcome`](crate::FaultOutcome) for the same fault.
 
+use crate::env::Environment;
+use crate::faultlist::Fault;
+use crate::inject::target_net;
 use socfmea_core::ZoneId;
+use socfmea_netlist::{Logic, NetId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+
+/// The monitor roles of one net. A net may hold several: an alarm that is
+/// also a zone anchor, an output that is also an observation point.
+#[derive(Debug, Clone, Copy, Default)]
+struct Role {
+    /// OBSE: the zone whose observation point this net is.
+    zone: Option<ZoneId>,
+    /// A functional output: a deviation is a dangerous failure.
+    output: bool,
+    /// A diagnostic alarm: an assertion is a detection.
+    alarm: bool,
+}
+
+/// The SENS/OBSE/output/alarm monitors of an environment, shared by every
+/// engine. Built once per campaign artifact; immutable afterwards.
+///
+/// Engines report each `(cycle, net)` as two lane masks — bit `i` is lane
+/// `i` of the [`Readings`] slice they pass — and [`observe`](Self::observe)
+/// turns them into monitor events.
+#[derive(Debug)]
+pub(crate) struct MonitorOracle {
+    /// Role of every net, indexed by [`NetId::index`].
+    roles: Vec<Role>,
+    /// Every net with at least one role, ascending.
+    monitored: Vec<NetId>,
+}
+
+/// What the monitors saw of one fault so far.
+#[derive(Debug)]
+pub(crate) struct Readings {
+    /// The net the fault physically disturbs (SENS), if it has one.
+    target: Option<NetId>,
+    /// The zone the fault was injected into.
+    zone: Option<ZoneId>,
+    /// First cycle with a functional-output mismatch.
+    pub(crate) first_mismatch: Option<usize>,
+    /// First cycle with a new alarm assertion.
+    pub(crate) alarm_cycle: Option<usize>,
+    /// Whether the target net or the injected zone's anchors deviated.
+    pub(crate) sens_triggered: bool,
+    /// Zones whose observation points deviated.
+    pub(crate) deviated_zones: BTreeSet<ZoneId>,
+}
+
+impl Readings {
+    /// Empty readings for `fault`.
+    pub(crate) fn new(fault: &Fault) -> Readings {
+        Readings {
+            target: target_net(fault),
+            zone: fault.zone,
+            first_mismatch: None,
+            alarm_cycle: None,
+            sens_triggered: false,
+            deviated_zones: BTreeSet::new(),
+        }
+    }
+}
+
+impl MonitorOracle {
+    /// The role table of `env`'s observation points, functional outputs
+    /// and alarms.
+    pub(crate) fn new(env: &Environment<'_>) -> MonitorOracle {
+        let mut roles = vec![Role::default(); env.netlist.net_count()];
+        for &net in &env.observation_nets {
+            roles[net.index()].zone = env.zone_of_net(net);
+        }
+        for &net in &env.functional_outputs {
+            roles[net.index()].output = true;
+        }
+        for &net in &env.alarm_nets {
+            roles[net.index()].alarm = true;
+        }
+        let monitored = (0..roles.len())
+            .filter(|&i| {
+                let r = roles[i];
+                r.zone.is_some() || r.output || r.alarm
+            })
+            .map(NetId::from_index)
+            .collect();
+        MonitorOracle { roles, monitored }
+    }
+
+    /// Every net with a monitor role, ascending.
+    pub(crate) fn monitored(&self) -> &[NetId] {
+        &self.monitored
+    }
+
+    /// Approximate resident size in bytes.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.roles.len() * std::mem::size_of::<Role>()
+            + self.monitored.len() * std::mem::size_of::<NetId>()
+    }
+
+    /// Records what `net` shows at `cycle`. `diverged` holds the lanes
+    /// whose value differs from a *known* golden value; `asserted` holds
+    /// the lanes at `1` where golden is not `1`. Bit `i` of each mask is
+    /// `lanes[i]`.
+    ///
+    /// This is the only place golden-vs-faulty values become SENS, OBSE,
+    /// output and alarm observations. Calls are idempotent and
+    /// order-independent within a cycle.
+    #[inline]
+    pub(crate) fn observe(
+        &self,
+        lanes: &mut [Readings],
+        cycle: usize,
+        net: NetId,
+        diverged: u64,
+        asserted: u64,
+    ) {
+        if diverged | asserted == 0 {
+            return;
+        }
+        let role = self.roles[net.index()];
+        let mut hit = diverged;
+        while hit != 0 {
+            let lane = &mut lanes[hit.trailing_zeros() as usize];
+            hit &= hit - 1;
+            if lane.target == Some(net) {
+                lane.sens_triggered = true;
+            }
+            if let Some(zone) = role.zone {
+                lane.deviated_zones.insert(zone);
+                if lane.zone == Some(zone) {
+                    lane.sens_triggered = true;
+                }
+            }
+            if role.output && lane.first_mismatch.is_none() {
+                lane.first_mismatch = Some(cycle);
+            }
+        }
+        if role.alarm {
+            let mut firing = asserted;
+            while firing != 0 {
+                let lane = &mut lanes[firing.trailing_zeros() as usize];
+                firing &= firing - 1;
+                lane.alarm_cycle.get_or_insert(cycle);
+            }
+        }
+    }
+
+    /// Records one fully evaluated scalar cycle: every monitored net and
+    /// the fault's target, compared between the `golden` and `faulty` net
+    /// values (both indexed by [`NetId::index`]).
+    pub(crate) fn observe_values(
+        &self,
+        readings: &mut Readings,
+        cycle: usize,
+        golden: &[Logic],
+        faulty: &[Logic],
+    ) {
+        for net in self.monitored.iter().copied().chain(readings.target) {
+            let (g, f) = (golden[net.index()], faulty[net.index()]);
+            let diverged = g.is_known() && f != g;
+            let asserted = f == Logic::One && g != Logic::One;
+            self.observe(
+                std::slice::from_mut(readings),
+                cycle,
+                net,
+                diverged as u64,
+                asserted as u64,
+            );
+        }
+    }
+}
 
 /// Per-zone and campaign-wide coverage items of the injection experiment.
 ///

@@ -5,23 +5,17 @@
 //! [`WordSim`] carries 64 lanes per net — lane 0 golden, lanes
 //! `1..=FAULT_LANES` each loaded with one stuck-at fault — so the levelized
 //! netlist walk is paid **once per workload cycle for up to 63 faults**,
-//! instead of once per cycle per fault. Every monitor of the lockstep
-//! reference ([`simulate_one`](crate::inject::simulate_one)) has an exact
-//! word-level form:
+//! instead of once per cycle per fault. The monitors need no word-level
+//! copy: each cycle, every monitored net and every lane's target net is
+//! reported to the shared [`MonitorOracle`] as two lane masks —
+//! `diff_mask` where the golden lane is known, and `one_mask` where the
+//! golden lane is not `1`.
 //!
-//! * **SENS** — the fault's own target net diverges from lane 0 while the
-//!   golden value is known: `golden_known(t) && diff_mask(t) & lane_bit`.
-//! * **OBSE** — an observation net diverges: the deviated zone is recorded
-//!   per lane; a hit on the fault's own zone also sets SENS.
-//! * **Functional outputs** — first divergence cycle per lane.
-//! * **Alarms** — a lane is exactly `One` where the golden lane is not:
-//!   `one_mask` with a clear golden bit.
-//!
-//! Lane *i* of a batch evolves bit-for-bit like a scalar [`Simulator`]
-//! (crate::inject's engine) carrying the same persistent force, so the
-//! per-lane verdicts fed through [`finalize_outcome`] are **bit-identical**
-//! to the lockstep engine's [`FaultOutcome`]s — the property
-//! `tests/ppsfp_differential.rs` asserts on every example design.
+//! Lane *i* of a batch evolves bit-for-bit like a scalar
+//! [`Simulator`](socfmea_sim::Simulator) carrying the same persistent
+//! force, so the per-lane readings fed through [`finalize_outcome`] are
+//! **bit-identical** to the lockstep engine's [`FaultOutcome`]s — the
+//! property `tests/ppsfp_differential.rs` asserts on every example design.
 //!
 //! Only known-value stuck-at faults batch (a stuck-at is the only fault
 //! kind that is a pure persistent per-net override); everything else falls
@@ -30,27 +24,15 @@
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
 use crate::inject::{finalize_outcome, target_net, FaultOutcome};
-use socfmea_core::ZoneId;
-use socfmea_netlist::{Logic, NetId};
+use crate::monitors::{MonitorOracle, Readings};
+use socfmea_netlist::NetId;
 use socfmea_sim::{WordSim, FAULT_LANES};
-use std::collections::BTreeSet;
 
 /// True when a fault can ride a PPSFP word lane: a stuck-at with a known
 /// (`0`/`1`) value. `Engine::Auto` batches a fault list iff every fault
 /// satisfies this.
 pub(crate) fn batchable(fault: &Fault) -> bool {
     matches!(fault.kind, FaultKind::StuckAt { value, .. } if value.is_known())
-}
-
-/// Per-lane monitor state while a batch runs.
-struct LaneState {
-    net: NetId,
-    value: Logic,
-    inject_cycle: usize,
-    first_mismatch: Option<usize>,
-    alarm_cycle: Option<usize>,
-    sens_triggered: bool,
-    deviated_zones: BTreeSet<ZoneId>,
 }
 
 /// Simulates one batch of up to [`FAULT_LANES`] stuck-at faults against the
@@ -67,6 +49,7 @@ struct LaneState {
 /// non-[`batchable`] fault.
 pub(crate) fn simulate_batch(
     env: &Environment<'_>,
+    oracle: &MonitorOracle,
     word: &mut WordSim<'_>,
     batch: &[(usize, &Fault)],
     cancel: Option<&std::sync::atomic::AtomicBool>,
@@ -76,25 +59,19 @@ pub(crate) fn simulate_batch(
         "a PPSFP batch holds 1..={FAULT_LANES} faults, got {}",
         batch.len()
     );
+    assert!(
+        batch.iter().all(|&(_, f)| batchable(f)),
+        "PPSFP batches hold known-value stuck-at faults only"
+    );
     word.reset_to_power_on();
-    let mut lanes: Vec<LaneState> = batch
-        .iter()
-        .map(|&(_, fault)| {
-            let FaultKind::StuckAt { net, value } = fault.kind else {
-                panic!("PPSFP batches hold stuck-at faults only");
-            };
-            assert!(value.is_known(), "stuck-at value must be 0 or 1");
-            LaneState {
-                net,
-                value,
-                inject_cycle: fault.inject_cycle,
-                first_mismatch: None,
-                alarm_cycle: None,
-                sens_triggered: false,
-                deviated_zones: BTreeSet::new(),
-            }
-        })
-        .collect();
+    // Oracle lane `i` is word lane `i + 1`; word lanes past the batch stay
+    // golden copies, but are masked off anyway.
+    let mut lanes: Vec<Readings> = batch.iter().map(|&(_, f)| Readings::new(f)).collect();
+    let live = u64::MAX >> (64 - batch.len());
+    let mut watched: Vec<NetId> = oracle.monitored().to_vec();
+    watched.extend(batch.iter().filter_map(|&(_, f)| target_net(f)));
+    watched.sort_unstable();
+    watched.dedup();
 
     for (cycle, inputs) in env.workload.iter().enumerate() {
         if crate::accel::cancel_fired(cancel) {
@@ -106,97 +83,32 @@ pub(crate) fn simulate_batch(
         // Lane pins activate at each fault's own inject cycle and persist,
         // mirroring the lockstep engine's `apply_fault` timing (before the
         // eval of the activation cycle).
-        for (li, lane) in lanes.iter().enumerate() {
-            if lane.inject_cycle == cycle {
-                word.force_lane(lane.net, li + 1, lane.value);
+        for (li, &(_, fault)) in batch.iter().enumerate() {
+            if let FaultKind::StuckAt { net, value } = fault.kind {
+                if fault.inject_cycle == cycle {
+                    word.force_lane(net, li + 1, value);
+                }
             }
         }
         word.eval();
-
-        // SENS: did the injection physically disturb its target net?
-        for (li, lane) in lanes.iter_mut().enumerate() {
-            if !lane.sens_triggered
-                && word.golden_known(lane.net)
-                && word.diff_mask(lane.net) & (1 << (li + 1)) != 0
-            {
-                lane.sens_triggered = true;
-            }
-        }
-        // OBSE: observation-point deviations, per diverged lane
-        for &net in &env.observation_nets {
-            if !word.golden_known(net) {
-                continue;
-            }
-            let mut diff = word.diff_mask(net);
-            if diff == 0 {
-                continue;
-            }
-            let Some(zone) = env.zone_of_net(net) else {
-                continue;
+        for &net in &watched {
+            let diverged = if word.golden_known(net) {
+                (word.diff_mask(net) >> 1) & live
+            } else {
+                0
             };
-            while diff != 0 {
-                let bit = diff.trailing_zeros() as usize;
-                diff &= diff - 1;
-                if let Some(lane) = lanes.get_mut(bit - 1) {
-                    lane.deviated_zones.insert(zone);
-                    if Some(zone) == batch[bit - 1].1.zone {
-                        lane.sens_triggered = true;
-                    }
-                }
-            }
-        }
-        // functional outputs: first divergence cycle per lane
-        for &net in &env.functional_outputs {
-            if !word.golden_known(net) {
-                continue;
-            }
-            let mut diff = word.diff_mask(net);
-            while diff != 0 {
-                let bit = diff.trailing_zeros() as usize;
-                diff &= diff - 1;
-                if let Some(lane) = lanes.get_mut(bit - 1) {
-                    if lane.first_mismatch.is_none() {
-                        lane.first_mismatch = Some(cycle);
-                    }
-                }
-            }
-        }
-        // alarms: a lane asserts (exactly One) where the golden lane does
-        // not — the word form of `faulty == One && golden != One`
-        for &net in &env.alarm_nets {
             let ones = word.one_mask(net);
-            if ones & 1 != 0 {
-                continue; // golden asserts too: no lane can newly alarm
-            }
-            let mut firing = ones;
-            while firing != 0 {
-                let bit = firing.trailing_zeros() as usize;
-                firing &= firing - 1;
-                if let Some(lane) = lanes.get_mut(bit - 1) {
-                    if lane.alarm_cycle.is_none() {
-                        lane.alarm_cycle = Some(cycle);
-                    }
-                }
-            }
+            let asserted = if ones & 1 == 0 { (ones >> 1) & live } else { 0 };
+            oracle.observe(&mut lanes, cycle, net, diverged, asserted);
         }
-
         word.tick();
     }
 
     batch
         .iter()
         .zip(lanes)
-        .map(|(&(fault_index, fault), lane)| {
-            debug_assert_eq!(target_net(fault), Some(lane.net));
-            finalize_outcome(
-                env,
-                fault,
-                fault_index,
-                lane.first_mismatch,
-                lane.alarm_cycle,
-                lane.sens_triggered,
-                lane.deviated_zones,
-            )
+        .map(|(&(fault_index, fault), readings)| {
+            finalize_outcome(env, fault, fault_index, readings)
         })
         .collect()
 }
@@ -204,10 +116,11 @@ pub(crate) fn simulate_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accel::ExecContext;
     use crate::env::EnvironmentBuilder;
-    use crate::inject::{prepare_context, simulate_one};
+    use crate::inject::simulate_scalar;
     use socfmea_core::extract::{extract_zones, ExtractConfig};
-    use socfmea_netlist::Driver;
+    use socfmea_netlist::{Driver, Logic};
     use socfmea_rtl::RtlBuilder;
     use socfmea_sim::{assign_bus, Simulator, Workload};
 
@@ -272,7 +185,7 @@ mod tests {
             .build();
         let faults = stuck_list(&nl);
         assert!(faults.len() > FAULT_LANES, "want more than one batch");
-        let ctx = prepare_context(&env, &faults);
+        let ctx = ExecContext::prepare(&env, &faults, 16);
         let mut sim = Simulator::new(&nl).unwrap();
         let mut word = WordSim::new(&nl).unwrap();
         for chunk in faults
@@ -281,9 +194,9 @@ mod tests {
             .collect::<Vec<_>>()
             .chunks(FAULT_LANES)
         {
-            let got = simulate_batch(&env, &mut word, chunk, None);
+            let got = simulate_batch(&env, &ctx.oracle, &mut word, chunk, None);
             for (&(fi, fault), fo) in chunk.iter().zip(&got) {
-                let want = simulate_one(&env, &ctx, &mut sim, fi, fault, None);
+                let (want, _) = simulate_scalar(&env, &ctx, &mut sim, fi, fault, false, None);
                 assert_eq!(&want, fo, "fault #{fi} ({}) diverges", fault.label);
             }
         }
@@ -306,8 +219,9 @@ mod tests {
             inject_cycle: 99,
             label: "never fires".into(),
         };
+        let oracle = MonitorOracle::new(&env);
         let mut word = WordSim::new(&nl).unwrap();
-        let got = simulate_batch(&env, &mut word, &[(0, &fault)], None);
+        let got = simulate_batch(&env, &oracle, &mut word, &[(0, &fault)], None);
         assert_eq!(got[0].outcome, crate::inject::Outcome::NoEffect);
         assert!(!got[0].sens_triggered);
     }

@@ -4,7 +4,7 @@
 //! collection) as the baseline lockstep engine, at every checkpoint
 //! interval.
 //!
-//! This is the contract that makes `--accel` safe to reach for: warm
+//! This is the contract that makes `--engine sparse` safe to reach for: warm
 //! starts, divergence-set propagation and convergence early exit are pure
 //! execution strategies and can never leak into the IEC 61508 evidence.
 
@@ -42,7 +42,13 @@ proptest! {
         }
 
         let zones = extract_zones(&nl, &ExtractConfig::default());
-        let env = EnvironmentBuilder::new(&nl, &zones, &w).build();
+        // two internal nets as diagnostic alarms (a first-stage register
+        // bit that is also a zone anchor, and a second-stage gate), so the
+        // SD/DD outcomes and the alarm monitor are compared too
+        let env = EnvironmentBuilder::new(&nl, &zones, &w)
+            .alarm_net(nl.net_by_name("r0[0]").unwrap())
+            .alarm_net(nl.net_by_name("syn1_0").unwrap())
+            .build();
         let profile = OperationalProfile::collect(&env);
         let faults = generate_fault_list(
             &env,

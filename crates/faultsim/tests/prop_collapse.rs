@@ -43,7 +43,13 @@ proptest! {
         }
 
         let zones = extract_zones(&nl, &ExtractConfig::default());
-        let env = EnvironmentBuilder::new(&nl, &zones, &w).build();
+        // two internal nets as diagnostic alarms (a first-stage register
+        // bit that is also a zone anchor, and a second-stage gate), so the
+        // SD/DD outcomes and the alarm monitor are compared too
+        let env = EnvironmentBuilder::new(&nl, &zones, &w)
+            .alarm_net(nl.net_by_name("r0[0]").unwrap())
+            .alarm_net(nl.net_by_name("syn1_0").unwrap())
+            .build();
         let profile = OperationalProfile::collect(&env);
         // generated faults (every kind) plus dense exhaustive stuck-ats on
         // the synthetic logic, where equivalence classes actually form

@@ -5,12 +5,12 @@
 //! the public `Campaign` API, X-propagation included.
 
 use proptest::prelude::*;
-use socfmea_core::{extract_zones, ExtractConfig};
+use socfmea_core::{extract_zones, ExtractConfig, ZoneSet};
 use socfmea_faultsim::{
-    fault_universe, ppsfp_coverage, serial_coverage, Campaign, Engine, EnvironmentBuilder, Fault,
-    FaultKind,
+    fault_universe, ppsfp_coverage, serial_coverage, Campaign, Engine, Environment,
+    EnvironmentBuilder, Fault, FaultKind,
 };
-use socfmea_netlist::{Driver, Logic, NetId};
+use socfmea_netlist::{Driver, Logic, NetId, Netlist};
 use socfmea_rtl::gen;
 use socfmea_sim::{assign_bus, Workload};
 
@@ -86,41 +86,10 @@ proptest! {
         stimulus in 1u64..1_000_000,
         threads in 1usize..4,
     ) {
-        let nl = gen::synthetic_datapath("dut", 4, 2, gates, seed).expect("valid");
-        let din: Vec<_> = (0..4)
-            .map(|i| nl.net_by_name(&format!("din[{i}]")).unwrap())
-            .collect();
-        let rst = nl.net_by_name("rst").unwrap();
-        let mut w = Workload::new("xrand");
-        for c in 0..12u64 {
-            let mut v = vec![(rst, if c == 0 { Logic::One } else { Logic::Zero })];
-            if c % 4 == 2 {
-                // a whole cycle of unknowns: X must propagate identically
-                // through the word-level lanes and the scalar simulator
-                v.extend(din.iter().map(|&n| (n, Logic::X)));
-            } else {
-                assign_bus(&mut v, &din, stimulus.wrapping_mul(c + 1) >> 2);
-            }
-            w.push_cycle(v);
-        }
-
+        let (nl, w) = x_fixture(seed, gates, stimulus);
         let zones = extract_zones(&nl, &ExtractConfig::default());
-        let env = EnvironmentBuilder::new(&nl, &zones, &w).build();
-        // both stuck-at polarities on every driven net, staggered injection
-        let mut faults = Vec::new();
-        for (i, net) in nl.nets().iter().enumerate() {
-            if matches!(net.driver, Driver::None | Driver::Const(_)) {
-                continue;
-            }
-            for value in [Logic::Zero, Logic::One] {
-                faults.push(Fault {
-                    kind: FaultKind::StuckAt { net: NetId::from_index(i), value },
-                    zone: None,
-                    inject_cycle: i % 5,
-                    label: format!("stuck {}-sa{value}", net.name),
-                });
-            }
-        }
+        let env = environment(&nl, &zones, &w);
+        let faults = stuck_list(&nl);
         prop_assume!(!faults.is_empty());
 
         let baseline = Campaign::new(&env, &faults).threads(1).run();
@@ -135,4 +104,75 @@ proptest! {
             );
         }
     }
+}
+
+/// A generated datapath with a workload that drives a whole cycle of
+/// unknowns onto the inputs every fourth cycle: X must propagate
+/// identically through the word-level lanes and the scalar simulator.
+fn x_fixture(seed: u64, gates: usize, stimulus: u64) -> (Netlist, Workload) {
+    let nl = gen::synthetic_datapath("dut", 4, 2, gates, seed).expect("valid");
+    let din: Vec<_> = (0..4)
+        .map(|i| nl.net_by_name(&format!("din[{i}]")).unwrap())
+        .collect();
+    let rst = nl.net_by_name("rst").unwrap();
+    let mut w = Workload::new("xrand");
+    for c in 0..12u64 {
+        let mut v = vec![(rst, if c == 0 { Logic::One } else { Logic::Zero })];
+        if c % 4 == 2 {
+            v.extend(din.iter().map(|&n| (n, Logic::X)));
+        } else {
+            assign_bus(&mut v, &din, stimulus.wrapping_mul(c + 1) >> 2);
+        }
+        w.push_cycle(v);
+    }
+    (nl, w)
+}
+
+/// The campaign environment, with two internal nets as diagnostic alarms
+/// (a first-stage register bit that is also a zone anchor, and a
+/// second-stage gate), so the SD/DD outcomes and the word-level alarm mask
+/// are compared too.
+fn environment<'a>(nl: &'a Netlist, zones: &'a ZoneSet, w: &'a Workload) -> Environment<'a> {
+    EnvironmentBuilder::new(nl, zones, w)
+        .alarm_net(nl.net_by_name("r0[0]").unwrap())
+        .alarm_net(nl.net_by_name("syn1_0").unwrap())
+        .build()
+}
+
+/// Both stuck-at polarities on every driven net, staggered injection.
+fn stuck_list(nl: &Netlist) -> Vec<Fault> {
+    let mut faults = Vec::new();
+    for (i, net) in nl.nets().iter().enumerate() {
+        if matches!(net.driver, Driver::None | Driver::Const(_)) {
+            continue;
+        }
+        for value in [Logic::Zero, Logic::One] {
+            faults.push(Fault {
+                kind: FaultKind::StuckAt {
+                    net: NetId::from_index(i),
+                    value,
+                },
+                zone: None,
+                inject_cycle: i % 5,
+                label: format!("stuck {}-sa{value}", net.name),
+            });
+        }
+    }
+    faults
+}
+
+#[test]
+fn stuck_at_campaigns_reach_the_detected_outcomes() {
+    // the campaign property is only as strong as the outcomes it compares:
+    // pin that the generator's alarms really fire, with and without an
+    // output mismatch
+    let (nl, w) = x_fixture(0, 20, 777_777);
+    let zones = extract_zones(&nl, &ExtractConfig::default());
+    let env = environment(&nl, &zones, &w);
+    let faults = stuck_list(&nl);
+    let (_, sd, dd, _) = Campaign::new(&env, &faults)
+        .engine(Engine::Ppsfp)
+        .run()
+        .outcome_counts();
+    assert!(sd > 0 && dd > 0, "SD {sd}, DD {dd}");
 }

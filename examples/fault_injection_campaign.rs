@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // shard across two worker threads; the merge is deterministic and
     // every engine is bit-identical, so the result equals
-    // `run_campaign(&env, &faults)` — `Engine::Auto` just picks the
+    // `Campaign::new(&env, &faults).run()` — `Engine::Auto` just picks the
     // fastest strategy the fault list admits
     let runner = Campaign::new(&env, &faults).engine(Engine::Auto).threads(2);
     let stats = runner.stats();

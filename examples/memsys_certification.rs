@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         faults.len(),
         cert.workload.len()
     );
-    let campaign = run_campaign(&env, &faults);
+    let campaign = Campaign::new(&env, &faults).run();
     let analysis = analyze(&faults, &campaign, &profile);
     let graph = ZoneGraph::build(&netlist, &zones);
     let effects = predict_all_effects(&graph);

@@ -34,7 +34,6 @@
 //!   --seed <s>                 fault-list sampling seed
 //!   --cycles <n>               synthetic workload length in cycles
 //!   --engine <e>               campaign engine (auto|lockstep|sparse|ppsfp)
-//!   --accel                    deprecated alias for --engine sparse
 //!   --checkpoint-interval <n>  golden-trace checkpoint spacing (sparse)
 //!   --collapse                 simulate one representative per equivalence
 //!                              class, back-annotate the rest
@@ -81,9 +80,50 @@ use soc_fmea::obs::{
 };
 use soc_fmea::serve::{Client, DesignRef, JobSpec, Server, ServerConfig};
 use soc_fmea::static_analysis::TestabilityAnalysis;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The binary's standard output. Every report line and streamed body goes
+/// through it: a closed pipe (`socfmea … | head -1`) is the reader saying
+/// it has seen enough, so the run ends quietly with exit 0 instead of a
+/// broken-pipe panic or error.
+struct Out;
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match std::io::stdout().write(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+            written => written,
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match std::io::stdout().flush() {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+            flushed => flushed,
+        }
+    }
+}
+
+// `print!`/`println!` write through `Out` in this binary.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        if let Err(e) = Out.write_fmt(format_args!($($arg)*)) {
+            panic!("failed printing to stdout: {e}");
+        }
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!("{}", cli::USAGE);
@@ -593,9 +633,8 @@ fn run_submit(opts: &SubmitOptions) -> Result<(), ExitCode> {
 }
 
 fn watch_to_stdout(client: &Client, addr: &str, job: &str) -> Result<(), ExitCode> {
-    let mut stdout = std::io::stdout().lock();
     let status = client
-        .watch(job, &mut stdout)
+        .watch(job, &mut Out)
         .map_err(|e| transport_err(addr, e))?;
     if status != 200 {
         eprintln!("socfmea: watch failed ({status})");
@@ -623,9 +662,8 @@ fn run_job_query(
 fn run_watch(opts: &JobRefOptions) -> Result<(), ExitCode> {
     let client = Client::new(opts.addr.clone());
     if opts.events {
-        let mut stdout = std::io::stdout().lock();
         let status = client
-            .events(&opts.job, &mut stdout)
+            .events(&opts.job, &mut Out)
             .map_err(|e| transport_err(&opts.addr, e))?;
         if status != 200 {
             eprintln!("socfmea: watch --events failed ({status})");

@@ -69,7 +69,6 @@ inject options:
                              ppsfp); every engine yields the bit-identical
                              result (default: auto — ppsfp for all-stuck-at
                              lists, sparse otherwise)
-  --accel                    deprecated alias for --engine sparse
   --checkpoint-interval <n>  golden-trace checkpoint spacing for the sparse
                              engine (default: 16)
   --collapse                 simulate one representative per equivalence
@@ -573,8 +572,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown engine `{other}`")),
                 };
             }
-            // deprecated alias, kept so existing scripts continue to work
-            "--accel" if is_inject => engine = Engine::Sparse,
             "--collapse" if is_inject || is_submit => collapse = Collapse::Dictionary,
             "--prune" if is_inject || is_submit => prune = Prune::Static,
             "--checkpoint-interval" if is_inject || is_submit => {
@@ -1038,16 +1035,6 @@ mod tests {
         );
         assert!(parse(&argv(&["analyze", "d.v", "--engine", "sparse"])).is_err());
         assert!(parse(&argv(&["lint", "d.v", "--checkpoint-interval", "4"])).is_err());
-    }
-
-    #[test]
-    fn inject_accel_is_a_deprecated_alias_for_engine_sparse() {
-        let cmd = parse(&argv(&["inject", "d.v", "--accel"])).unwrap();
-        let Command::Inject(o) = cmd else {
-            panic!("inject expected")
-        };
-        assert_eq!(o.engine, Engine::Sparse);
-        assert!(parse(&argv(&["analyze", "d.v", "--accel"])).is_err());
     }
 
     #[test]

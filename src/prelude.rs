@@ -38,8 +38,8 @@ pub use socfmea_iec61508::{sil_from_sff, ComponentClass, Hft, SubsystemType, Tec
 
 // fault-injection campaign
 pub use socfmea_faultsim::{
-    analyze, generate_fault_list, run_campaign, Campaign, CampaignResult, CampaignStats, Collapse,
-    EarlyStop, Engine, EnvironmentBuilder, Fault, FaultListConfig, OperationalProfile,
+    analyze, generate_fault_list, Campaign, CampaignResult, CampaignStats, Collapse, EarlyStop,
+    Engine, EnvironmentBuilder, Fault, FaultListConfig, OperationalProfile,
 };
 
 // static safety lints

@@ -193,6 +193,35 @@ fn errors_are_reported_cleanly() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // `socfmea … | head -1`: the reader is gone before the first line. The
+    // read end is dropped before the binary starts, so its first write
+    // fails with a broken pipe every time, not by a race.
+    let path = write_design("closed_stdout", DEMO);
+    let demo = path.to_str().unwrap();
+    for args in [
+        &["analyze", "--example", "fmem"][..],
+        &["zones", demo],
+        &["lint", "--example", "mcu-single"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_socfmea"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{args:?}: {}", out.status);
+        assert!(
+            out.stderr.is_empty(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
 fn lint_mcu_example_reports_seeded_findings_as_json() {
     let (json, _, ok) = run(&["lint", "--example", "mcu", "--format", "json"]);
     assert!(ok, "lint must exit 0 when only info findings remain");

@@ -2,8 +2,7 @@
 //! across crate boundaries, on a small purpose-built design.
 
 use soc_fmea::faultsim::{
-    analyze, generate_fault_list, run_campaign, EnvironmentBuilder, FaultListConfig,
-    OperationalProfile,
+    analyze, generate_fault_list, Campaign, EnvironmentBuilder, FaultListConfig, OperationalProfile,
 };
 use soc_fmea::fmea::{
     census, extract_zones, predict_all_effects, sweep, validate, DiagnosticClaim, ExtractConfig,
@@ -81,7 +80,7 @@ fn full_flow_on_lockstep_design() {
             ..FaultListConfig::default()
         },
     );
-    let campaign = run_campaign(&env, &faults);
+    let campaign = Campaign::new(&env, &faults).run();
     assert!(campaign.coverage.sens_coverage() >= 0.99);
 
     // every register bit flip must be caught by the comparator
@@ -129,7 +128,7 @@ fn unprotected_twin_fails_where_protected_succeeds() {
             ..FaultListConfig::default()
         },
     );
-    let campaign = run_campaign(&env, &faults);
+    let campaign = Campaign::new(&env, &faults).run();
     let (_, _, dd, du) = campaign.outcome_counts();
     assert_eq!(dd, 0, "no diagnostics exist");
     assert!(du > 0, "flips must reach the output undetected");

@@ -2,8 +2,7 @@
 //! FMEA, injection and the single-vs-lockstep contrast in one flow.
 
 use soc_fmea::faultsim::{
-    analyze, generate_fault_list, run_campaign, EnvironmentBuilder, FaultListConfig,
-    OperationalProfile,
+    analyze, generate_fault_list, Campaign, EnvironmentBuilder, FaultListConfig, OperationalProfile,
 };
 use soc_fmea::fmea::{extract_zones, predict_all_effects, validate, ValidationConfig, ZoneGraph};
 use soc_fmea::mcu::rtl::run_workload;
@@ -32,7 +31,7 @@ fn campaign_dc(cfg: &McuConfig) -> (Option<f64>, bool) {
             ..FaultListConfig::default()
         },
     );
-    let result = run_campaign(&env, &faults);
+    let result = Campaign::new(&env, &faults).run();
 
     // validation cross-check against the worksheet
     let fmea = mcu_fmea::build_worksheet(&zones, cfg).compute();
