@@ -17,9 +17,9 @@ pub struct Topology {
     /// Position of each gate (by [`GateId::index`]) in the levelized order.
     pos: Vec<u32>,
     /// Gates reading each net (by [`NetId::index`]).
-    gate_readers: Vec<Vec<GateId>>,
+    gate_readers: Readers<GateId>,
     /// Flip-flops reading each net through `d`/`enable`/`reset`.
-    dff_readers: Vec<Vec<DffId>>,
+    dff_readers: Readers<DffId>,
     /// Output net of each gate (by [`GateId::index`]).
     gate_out: Vec<NetId>,
     /// `q` net of each flip-flop (by [`DffId::index`]).
@@ -42,8 +42,8 @@ impl Topology {
         Ok(Topology {
             order,
             pos,
-            gate_readers: netlist.gate_fanout(),
-            dff_readers: netlist.dff_fanout(),
+            gate_readers: Readers::new(netlist.gate_fanout()),
+            dff_readers: Readers::new(netlist.dff_fanout()),
             gate_out: netlist.gates().iter().map(|g| g.output).collect(),
             dff_q: netlist.dffs().iter().map(|ff| ff.q).collect(),
         })
@@ -62,18 +62,18 @@ impl Topology {
     /// (`d`/`enable`/`reset` → `q`). This is the set of nets a value
     /// change on `net` could ever influence, across any number of cycles.
     pub fn fanout_cone(&self, net: NetId) -> Vec<bool> {
-        let mut reach = vec![false; self.gate_readers.len()];
+        let mut reach = vec![false; self.gate_readers.nets()];
         let mut stack = vec![net];
         reach[net.index()] = true;
         while let Some(n) = stack.pop() {
-            for &g in &self.gate_readers[n.index()] {
+            for &g in self.gate_readers.of(n.index()) {
                 let out = self.gate_out[g.index()];
                 if !reach[out.index()] {
                     reach[out.index()] = true;
                     stack.push(out);
                 }
             }
-            for &ff in &self.dff_readers[n.index()] {
+            for &ff in self.dff_readers.of(n.index()) {
                 let q = self.dff_q[ff.index()];
                 if !reach[q.index()] {
                     reach[q.index()] = true;
@@ -93,14 +93,62 @@ impl Topology {
     /// Gates whose inputs include the net with index `net_index`.
     #[inline]
     pub fn gate_readers(&self, net_index: usize) -> &[GateId] {
-        &self.gate_readers[net_index]
+        self.gate_readers.of(net_index)
     }
 
     /// Flip-flops reading the net with index `net_index` (via `d`, `enable`
     /// or `reset`).
     #[inline]
     pub fn dff_readers(&self, net_index: usize) -> &[DffId] {
-        &self.dff_readers[net_index]
+        self.dff_readers.of(net_index)
+    }
+
+    /// Approximate heap size in bytes.
+    pub fn approx_bytes(&self) -> usize {
+        self.order.len() * size_of::<GateId>()
+            + self.pos.len() * size_of::<u32>()
+            + self.gate_readers.approx_bytes()
+            + self.dff_readers.approx_bytes()
+            + self.gate_out.len() * size_of::<NetId>()
+            + self.dff_q.len() * size_of::<NetId>()
+    }
+}
+
+/// Per-net reader lists in compressed sparse row form: the readers of net
+/// `n` are `ids[start[n]..start[n + 1]]`. Two flat arrays instead of one
+/// heap allocation per net.
+#[derive(Debug, Clone)]
+struct Readers<T> {
+    start: Vec<u32>,
+    ids: Vec<T>,
+}
+
+impl<T: Copy> Readers<T> {
+    /// Flattens per-net lists, keeping each list's order.
+    fn new(lists: Vec<Vec<T>>) -> Readers<T> {
+        let mut start = Vec::with_capacity(lists.len() + 1);
+        let mut ids = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        start.push(0);
+        for list in lists {
+            ids.extend(list);
+            start.push(u32::try_from(ids.len()).expect("fewer than 2^32 readers"));
+        }
+        Readers { start, ids }
+    }
+
+    /// Number of nets.
+    fn nets(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The readers of the net with index `net_index`.
+    #[inline]
+    fn of(&self, net_index: usize) -> &[T] {
+        &self.ids[self.start[net_index] as usize..self.start[net_index + 1] as usize]
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.start.len() * size_of::<u32>() + self.ids.len() * size_of::<T>()
     }
 }
 
@@ -133,6 +181,24 @@ mod tests {
             let id = DffId::from_index(fi);
             assert!(topo.dff_readers(ff.d.index()).contains(&id));
         }
+    }
+
+    #[test]
+    fn flat_reader_lists_equal_the_netlist_fanout_in_order() {
+        let nl = socfmea_rtl::gen::synthetic_datapath("csr", 4, 2, 24, 5).unwrap();
+        let topo = Topology::build(&nl).unwrap();
+        let (gates, dffs) = (nl.gate_fanout(), nl.dff_fanout());
+        assert_eq!(topo.gate_readers.nets(), nl.net_count());
+        for n in 0..nl.net_count() {
+            assert_eq!(topo.gate_readers(n), gates[n].as_slice(), "net {n}");
+            assert_eq!(topo.dff_readers(n), dffs[n].as_slice(), "net {n}");
+        }
+        // two flat arrays per reader kind: no allocation per net
+        let readers: usize = gates.iter().map(Vec::len).sum::<usize>() * 4
+            + dffs.iter().map(Vec::len).sum::<usize>() * 4;
+        let nested = readers + 2 * nl.net_count() * size_of::<Vec<GateId>>();
+        let flat = topo.gate_readers.approx_bytes() + topo.dff_readers.approx_bytes();
+        assert!(flat < nested, "{flat} bytes flat vs {nested} nested");
     }
 
     #[test]

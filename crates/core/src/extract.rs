@@ -395,7 +395,7 @@ pub fn extract_zones(netlist: &Netlist, config: &ExtractConfig) -> ZoneSet {
             .cone
             .gates
             .iter()
-            .map(|g| 1.0 / membership.cone_indices[g.index()].len() as f64)
+            .map(|&g| 1.0 / membership.cones_of(g).len() as f64)
             .sum::<f64>()
             .max(0.0);
     }
@@ -610,7 +610,9 @@ mod tests {
             .iter()
             .position(|g| g.name.contains("not"))
             .expect("the shared inverter");
-        let cones = &zones.membership().cone_indices[shared_gate];
+        let cones = zones
+            .membership()
+            .cones_of(socfmea_netlist::GateId::from_index(shared_gate));
         assert!(
             cones.len() >= 3,
             "expected >= 3 cones sharing the inverter, got {cones:?}"

@@ -113,12 +113,10 @@ pub fn census(netlist: &Netlist, zones: &ZoneSet) -> FaultClassCensus {
 pub fn wide_fault_sites(zones: &ZoneSet) -> Vec<WideFaultSite> {
     let mut sites: Vec<WideFaultSite> = zones
         .membership()
-        .cone_indices
         .iter()
-        .enumerate()
         .filter(|(_, cones)| cones.len() >= 2)
-        .map(|(gi, cones)| WideFaultSite {
-            gate: GateId::from_index(gi),
+        .map(|(gate, cones)| WideFaultSite {
+            gate,
             zones: cones.iter().map(|&c| ZoneId::from_index(c)).collect(),
         })
         .collect();

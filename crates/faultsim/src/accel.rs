@@ -1,38 +1,41 @@
-//! The campaign's one golden artifact, and the sparse engine.
+//! The campaign's one golden artifact, and the per-fault kernel router.
 //!
 //! Every campaign, whatever its [`Engine`](crate::Engine), prepares one
 //! [`ExecContext`]: the [`GoldenTrace`] (every net's value at every cycle,
 //! plus periodic checkpoints), the propagation [`Topology`], the shared
 //! [`MonitorOracle`] and the zones the fault list targets. The resolved
-//! engine only decides which kernels a worker builds over it:
+//! engine only decides which kernels a worker builds over it ([`Kernels`]):
 //!
 //! * **Lockstep** — the scalar reference: every fault simulated in full
 //!   from power-on ([`simulate_scalar`]).
-//! * **Sparse** (bit flips, stuck-ats, glitches): the fault's effect is a
-//!   pure state override, so the faulty run equals golden until the
-//!   activation cycle by construction. A [`SparseSim`] starts *at* the
-//!   activation cycle and evaluates only the fan-out cone of the nets that
-//!   differ from golden, classifying the remaining cycles straight from the
-//!   trace once the divergence set empties. Bridges and clock outages,
-//!   which change evaluation semantics globally, take the scalar loop's
-//!   checkpointed warm start instead.
-//! * **PPSFP** — word-level batches of stuck-ats
-//!   ([`ppsfp`](crate::ppsfp)), with everything else on the lockstep path.
+//! * **Sparse or PPSFP** — the accelerated engines. Their workers carry all
+//!   three fast kernels and [`route`] each fault by kind:
+//!   - a known-value stuck-at rides a lane of a PPSFP word
+//!     ([`ppsfp`](crate::ppsfp)), up to 63 faults per word-level walk;
+//!   - a bit flip, glitch or `X` stuck-at is a pure state override, so the
+//!     faulty run equals golden until the activation cycle by
+//!     construction. A [`SparseSim`] starts *at* the activation cycle and
+//!     evaluates only the fan-out cone of the nets that differ from golden,
+//!     classifying the remaining cycles straight from the trace once the
+//!     divergence set empties;
+//!   - a bridge or clock outage, which changes evaluation semantics
+//!     globally, takes the scalar loop's checkpointed warm start.
 //!
 //! All paths report golden-vs-faulty differences to the same oracle, so
 //! they observe SENS/OBSE/output/alarm events under exactly the same
 //! conditions — the differential tests in this module and
-//! `tests/prop_accel.rs` assert bit-identical [`FaultOutcome`]s on every
-//! fault kind.
+//! `tests/prop_accel.rs` / `tests/prop_routing.rs` assert bit-identical
+//! [`FaultOutcome`]s on every fault kind.
 
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
 use crate::inject::{finalize_outcome, simulate_scalar, FaultOutcome};
 use crate::monitors::{MonitorOracle, Readings};
+use crate::ppsfp;
 use socfmea_accel::{GoldenTrace, SparseSim, Topology};
 use socfmea_core::ZoneId;
 use socfmea_netlist::Logic;
-use socfmea_sim::Simulator;
+use socfmea_sim::{Simulator, WordSim};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -102,33 +105,92 @@ impl ExecContext {
     }
 
     /// Approximate resident size in bytes (the artifact cache's eviction
-    /// currency): the golden matrix and checkpoints plus the monitor
-    /// oracle.
+    /// currency): the golden matrix and checkpoints, the topology and the
+    /// monitor oracle.
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.trace.matrix_bytes() + self.trace.checkpoint_bytes() + self.oracle.approx_bytes()
+        self.trace.matrix_bytes()
+            + self.trace.checkpoint_bytes()
+            + self.topo.approx_bytes()
+            + self.oracle.approx_bytes()
     }
 }
 
-/// Runs one fault on the worker's kernels. A worker of the sparse engine
-/// carries a `sparse` kernel: state-override faults take the sparse path,
-/// the rest the warm start. Every other worker runs the lockstep
-/// reference. The outcome is bit-identical across paths; only the metrics
-/// differ.
+/// The kernel a fault runs on; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kernel {
+    /// Full co-simulation from power-on (the lockstep engine only).
+    Lockstep,
+    /// A lane of a PPSFP word: known-value stuck-ats.
+    Word,
+    /// Divergence-set propagation: bit flips, glitches, `X` stuck-ats.
+    Sparse,
+    /// The scalar loop from the nearest checkpoint: bridges, clock
+    /// outages.
+    Warm,
+}
+
+/// Routes `fault` to its kernel: everything to the scalar reference on
+/// the lockstep engine, by fault kind on an `accelerated` (sparse or
+/// PPSFP) one.
+pub(crate) fn route(accelerated: bool, fault: &Fault) -> Kernel {
+    match fault.kind {
+        _ if !accelerated => Kernel::Lockstep,
+        _ if ppsfp::batchable(fault) => Kernel::Word,
+        FaultKind::BitFlip { .. } | FaultKind::StuckAt { .. } | FaultKind::Glitch { .. } => {
+            Kernel::Sparse
+        }
+        FaultKind::Bridge { .. } | FaultKind::ClockStuck { .. } => Kernel::Warm,
+    }
+}
+
+/// The kernels one campaign worker owns, built once and reset between
+/// faults. A lockstep worker carries only the scalar simulator; an
+/// accelerated worker carries all three.
+pub(crate) struct Kernels<'a> {
+    pub(crate) sim: Simulator<'a>,
+    pub(crate) sparse: Option<SparseSim<'a>>,
+    pub(crate) word: Option<WordSim<'a>>,
+}
+
+impl<'a> Kernels<'a> {
+    /// A worker's kernels over the shared context: `sim` and `word` are
+    /// fresh clones of levelized bases (`word` present iff the campaign is
+    /// accelerated).
+    pub(crate) fn new(
+        ctx: &'a ExecContext,
+        sim: Simulator<'a>,
+        word: Option<WordSim<'a>>,
+    ) -> Kernels<'a> {
+        let sparse = word
+            .as_ref()
+            .map(|_| SparseSim::new(sim.netlist(), &ctx.topo, &ctx.trace));
+        Kernels { sim, sparse, word }
+    }
+}
+
+/// Runs one fault on the worker's scalar or sparse kernel, as [`route`]d.
+/// The outcome is bit-identical across paths; only the metrics differ.
+///
+/// # Panics
+///
+/// Panics on a fault routed to a word lane: those run in batches
+/// ([`ppsfp::simulate_batch`]).
 pub(crate) fn simulate_dispatch(
     env: &Environment<'_>,
     ctx: &ExecContext,
-    sim: &mut Simulator<'_>,
-    sparse: Option<&mut SparseSim<'_>>,
+    kernels: &mut Kernels<'_>,
     fault_index: usize,
     fault: &Fault,
     cancel: Option<&AtomicBool>,
 ) -> (FaultOutcome, FaultMetrics) {
-    match (sparse, &fault.kind) {
-        (
-            Some(sparse),
-            FaultKind::BitFlip { .. } | FaultKind::StuckAt { .. } | FaultKind::Glitch { .. },
-        ) => simulate_sparse(env, ctx, sparse, fault_index, fault, cancel),
-        (sparse, _) => simulate_scalar(env, ctx, sim, fault_index, fault, sparse.is_some(), cancel),
+    let Kernels { sim, sparse, .. } = kernels;
+    match (route(sparse.is_some(), fault), sparse) {
+        (Kernel::Sparse, Some(sparse)) => {
+            simulate_sparse(env, ctx, sparse, fault_index, fault, cancel)
+        }
+        (Kernel::Lockstep, _) => simulate_scalar(env, ctx, sim, fault_index, fault, false, cancel),
+        (Kernel::Warm, _) => simulate_scalar(env, ctx, sim, fault_index, fault, true, cancel),
+        (kernel, _) => unreachable!("{kernel:?} faults are not simulated one by one"),
     }
 }
 

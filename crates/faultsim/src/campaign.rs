@@ -7,18 +7,19 @@
 //! the coverage collection and any early-stop decision have to come out the
 //! same whether the campaign ran on one laptop core or a 64-way server.
 //!
-//! [`Campaign`] delivers both. Worker threads claim fixed-size chunks of
-//! the fault list and simulate them against a shared golden trace, each on
-//! its own [`Simulator`] (cloned once via [`Simulator::clone_fresh`], reset
-//! — not re-levelized — between faults). Finished chunks stream back over a
-//! channel and are committed **strictly in fault-list order**; coverage
+//! [`Campaign`] delivers both. Worker threads claim work from the fault
+//! list — a PPSFP word of stuck-ats, or a run of other faults — and
+//! simulate it against a shared golden trace, each on its own kernels
+//! (cloned once via [`Simulator::clone_fresh`], reset — not re-levelized —
+//! between faults). Finished claims stream back over a channel and are
+//! committed **strictly in fault-list order**; coverage
 //! recording and the early-stop check only ever run on committed, in-order
 //! outcomes. The result is therefore a pure function of `(environment,
 //! fault list)` — bit-identical for any thread count, chunk size or
 //! scheduling seed, and `CampaignResult` is `Eq` so tests assert exactly
 //! that.
 
-use crate::accel::{simulate_dispatch, ExecContext, FaultMetrics};
+use crate::accel::{route, simulate_dispatch, ExecContext, FaultMetrics, Kernel, Kernels};
 use crate::collapse::{CollapsePlan, FaultCollapser};
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
@@ -29,14 +30,12 @@ use crate::prune::PrunePlan;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use socfmea_accel::SparseSim;
 use socfmea_core::CampaignStatsSummary;
 use socfmea_obs::metrics::{Counter, Histogram};
 use socfmea_obs::trace::{FaultRecord, TraceEvent};
 use socfmea_obs::{Observer, ProgressSample};
 use socfmea_sim::{Simulator, WordSim, FAULT_LANES};
 use socfmea_static::ProofKind;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -63,12 +62,17 @@ pub enum EarlyStop {
 /// changes *how fast* the verdicts arrive and which counters advance in
 /// [`CampaignStats`] / the observer's metrics registry:
 ///
-/// | Engine       | Fault kinds                    | Mechanism |
-/// |--------------|--------------------------------|-----------|
-/// | `Lockstep`   | all                            | full golden-vs-faulty co-simulation, one fault at a time |
-/// | `Sparse`     | bit flips, stuck-ats, glitches | divergence-set propagation from the activation cycle (bridges and clock outages take a checkpointed warm start) |
-/// | `Ppsfp`      | known-value stuck-ats          | bit-parallel word-level simulation, up to [`FAULT_LANES`] faults per `u64` word with lane 0 golden (other kinds fall back to lockstep, fault by fault) |
-/// | `Auto`       | —                              | picks `Ppsfp` when every fault in the list is a known-value stuck-at, `Sparse` otherwise |
+/// | Engine              | Fault kind                          | Kernel |
+/// |---------------------|-------------------------------------|--------|
+/// | `Lockstep`          | all                                 | full golden-vs-faulty co-simulation from power-on, one fault at a time (the reference) |
+/// | `Sparse` or `Ppsfp` | known-value stuck-at                | a lane of a bit-parallel PPSFP word: up to [`FAULT_LANES`] faults per `u64` word, lane 0 golden |
+/// | `Sparse` or `Ppsfp` | bit flip, glitch, `X` stuck-at      | divergence-set propagation from the activation cycle, converging early |
+/// | `Sparse` or `Ppsfp` | bridge, clock outage                | the scalar loop from the nearest golden checkpoint (warm start) |
+/// | `Auto`              | —                                   | resolves to `Ppsfp` when every fault in the list is a known-value stuck-at, `Sparse` otherwise |
+///
+/// The two accelerated engines route every fault the same way; they
+/// differ only in name (the trace's `meta` record reports `accel: true`
+/// for `Sparse`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Resolve per fault list: [`Ppsfp`](Engine::Ppsfp) for pure
@@ -77,12 +81,16 @@ pub enum Engine {
     Auto,
     /// The baseline golden-vs-faulty lockstep engine.
     Lockstep,
-    /// The checkpointed incremental engine (`socfmea-accel`): warm starts,
-    /// divergence-set propagation, convergence early exit.
+    /// The accelerated engine as resolved for mixed lists: known-value
+    /// stuck-ats on PPSFP word lanes, state-override faults on the
+    /// divergence-set kernel (`socfmea-accel`), the rest on checkpointed
+    /// warm starts.
     Sparse,
-    /// The bit-parallel (pattern-parallel single-fault propagation) engine:
-    /// batches of up to [`FAULT_LANES`] stuck-at faults share one
-    /// word-level netlist evaluation per cycle.
+    /// The accelerated engine as resolved for pure known-value stuck-at
+    /// lists (pattern-parallel single-fault propagation: batches of up to
+    /// [`FAULT_LANES`] stuck-ats share one word-level netlist evaluation
+    /// per cycle). Routes every fault exactly like
+    /// [`Sparse`](Engine::Sparse).
     Ppsfp,
 }
 
@@ -410,8 +418,8 @@ impl CampaignStats {
         self.cycles_skipped.load(Ordering::Relaxed)
     }
 
-    /// PPSFP batches launched so far (0 unless the campaign runs on
-    /// [`Engine::Ppsfp`]).
+    /// PPSFP batches launched so far (0 unless an accelerated engine met a
+    /// known-value stuck-at).
     pub fn ppsfp_batches(&self) -> u64 {
         self.ppsfp_batches.load(Ordering::Relaxed)
     }
@@ -864,7 +872,8 @@ impl<'a> Campaign<'a> {
     /// Default chunk size (faults claimed per worker grab).
     pub const DEFAULT_CHUNK: usize = 8;
 
-    /// Default checkpoint interval for [`Engine::Sparse`] campaigns.
+    /// Default golden checkpoint interval of the accelerated engines' warm
+    /// starts.
     pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 16;
 
     /// Prepares a campaign over `faults` in `env`, initially
@@ -903,9 +912,14 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Sets the chunk size: how many consecutive faults a worker claims at
-    /// a time (0 is treated as 1). Smaller chunks balance load better;
-    /// larger chunks lower synchronisation traffic.
+    /// Sets the chunk size: how many faults a worker claims at a time for
+    /// the one-by-one kernels (0 is treated as 1). Smaller chunks balance
+    /// load better; larger chunks lower synchronisation traffic.
+    ///
+    /// A claim holds the next `faults_per_chunk` such faults in list
+    /// order. On an accelerated engine, known-value stuck-ats are claimed
+    /// apart from them, a whole PPSFP word (the next up to [`FAULT_LANES`]
+    /// in list order) at a time, whatever the chunk size.
     pub fn chunk(mut self, faults_per_chunk: usize) -> Self {
         self.chunk = faults_per_chunk.max(1);
         self
@@ -924,17 +938,17 @@ impl<'a> Campaign<'a> {
     /// Like every other builder setting, this changes only *how* the
     /// campaign executes: the [`CampaignResult`] is bit-identical across
     /// engines. The work saved shows up in
-    /// [`CampaignStats::cycles_skipped`] (sparse) and
-    /// [`CampaignStats::ppsfp_lanes_per_word`] (PPSFP).
+    /// [`CampaignStats::cycles_skipped`] (sparse kernel and warm starts) and
+    /// [`CampaignStats::ppsfp_lanes_per_word`] (PPSFP words).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
     }
 
-    /// Sets the sparse engine's checkpoint interval (0 is treated as 1):
-    /// smaller intervals shorten warm-start replays at the cost of
-    /// checkpoint memory. No effect unless the campaign runs on
-    /// [`Engine::Sparse`]; provably does not affect the result.
+    /// Sets the golden checkpoint interval (0 is treated as 1): smaller
+    /// intervals shorten warm-start replays at the cost of checkpoint
+    /// memory. Only the accelerated engines ([`Engine::Sparse`],
+    /// [`Engine::Ppsfp`]) warm-start; provably does not affect the result.
     pub fn checkpoint_interval(mut self, cycles: usize) -> Self {
         self.checkpoint_interval = cycles.max(1);
         self
@@ -1072,7 +1086,7 @@ impl<'a> Campaign<'a> {
                     (self.collapse, self.prune),
                     "supplied artifacts use different collapse/prune settings"
                 );
-                if engine == Engine::Sparse {
+                if engine != Engine::Lockstep {
                     assert_eq!(
                         a.checkpoint_interval, self.checkpoint_interval,
                         "supplied artifacts use a different checkpoint interval"
@@ -1292,104 +1306,85 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Simulates one slice of the simulation order, recording live stats
-    /// per verdict, and returns the outcomes with their telemetry in slice
-    /// order. Under PPSFP, the slice's batchable stuck-ats share word-level
-    /// batches of up to [`FAULT_LANES`]; everything else goes through the
-    /// per-fault dispatcher. A set `stop` flag (sharded runs: the merged
-    /// result is already complete) aborts between simulations — the
-    /// returned prefix is then never committed.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_slice(
+    /// Simulates one claim, recording live stats per verdict, and returns
+    /// the outcomes with their telemetry in claim order. A word claim runs
+    /// as one PPSFP batch; a run claim goes fault by fault through the
+    /// kernel router. A set `stop` flag (the merged result is already
+    /// complete) or cancellation aborts between simulations, and an
+    /// aborted simulation's outcome is dropped: the returned prefix is
+    /// then short, and the merge commits nothing past it.
+    fn simulate_claim(
         &self,
         ctx: &ExecContext,
-        sim: &mut Simulator<'_>,
-        mut sparse: Option<&mut SparseSim<'_>>,
-        word: Option<&mut WordSim<'_>>,
-        slice: &[usize],
+        kernels: &mut Kernels<'_>,
+        claim: &Claim,
+        order: &[usize],
         shard: u64,
-        stop: Option<&AtomicBool>,
+        stop: &AtomicBool,
     ) -> Vec<Simulated> {
         let cancel = self.cancel.as_deref();
-        let stopped = || stop.is_some_and(|s| s.load(Ordering::Relaxed)) || self.is_cancelled();
-        let mut slots: Vec<Option<Simulated>> = (0..slice.len()).map(|_| None).collect();
-        if let Some(word) = word {
-            // Word positions first: every batchable fault of the slice,
-            // packed greedily FAULT_LANES at a time.
-            let cycles = self.env.workload.len() as u64;
-            let batchable: Vec<usize> = (0..slice.len())
-                .filter(|&p| ppsfp::batchable(&self.faults[slice[p]]))
+        let stopped = || stop.load(Ordering::Relaxed) || self.is_cancelled();
+        let mut out = Vec::with_capacity(claim.positions.len());
+        if claim.word {
+            let word = kernels
+                .word
+                .as_mut()
+                .expect("an accelerated worker carries a word kernel");
+            if stopped() {
+                return out;
+            }
+            let batch: Vec<(usize, &Fault)> = claim
+                .positions
+                .iter()
+                .map(|&p| (order[p], &self.faults[order[p]]))
                 .collect();
-            for group in batchable.chunks(FAULT_LANES) {
-                if stopped() {
-                    break;
-                }
-                let batch: Vec<(usize, &Fault)> = group
-                    .iter()
-                    .map(|&p| (slice[p], &self.faults[slice[p]]))
-                    .collect();
-                let t0 = Instant::now();
-                let fos = ppsfp::simulate_batch(self.env, &ctx.oracle, word, &batch, cancel);
-                let nanos = t0.elapsed().as_nanos() as u64;
-                // An aborted batch returns garbage lanes: drop them and the
-                // rest of the slice (the caller never commits past a hole).
-                if self.is_cancelled() {
-                    break;
-                }
-                self.stats.record_ppsfp_batch(batch.len() as u64, cycles);
-                // Per-fault attribution of the shared batch: the first lane
-                // carries the evaluated cycles (the word walk ran once), the
-                // others ride along for free; wall-clock splits evenly with
-                // the rounding remainder on the first.
-                let share = nanos / batch.len() as u64;
-                let mut remainder = nanos - share * batch.len() as u64;
-                for (k, (&p, fo)) in group.iter().zip(fos).enumerate() {
-                    let metrics = FaultMetrics {
-                        simulated: if k == 0 { cycles } else { 0 },
-                        skipped: if k == 0 { 0 } else { cycles },
-                        engine: "ppsfp",
-                    };
-                    let lane_nanos = share + std::mem::take(&mut remainder);
-                    self.stats.record(fo.outcome, &metrics, lane_nanos);
-                    slots[p] = Some((
-                        fo,
-                        FaultTelemetry {
-                            metrics,
-                            nanos: lane_nanos,
-                            shard,
-                        },
-                    ));
-                }
+            let t0 = Instant::now();
+            let fos = ppsfp::simulate_batch(self.env, &ctx.oracle, word, &batch, cancel);
+            let nanos = t0.elapsed().as_nanos() as u64;
+            if self.is_cancelled() {
+                return out;
             }
+            let cycles = self.env.workload.len() as u64;
+            self.stats.record_ppsfp_batch(batch.len() as u64, cycles);
+            // Per-fault attribution of the shared batch: the first lane
+            // carries the evaluated cycles (the word walk ran once), the
+            // others ride along for free; wall-clock splits evenly with
+            // the rounding remainder on the first.
+            let share = nanos / batch.len() as u64;
+            let mut remainder = nanos - share * batch.len() as u64;
+            for (k, fo) in fos.into_iter().enumerate() {
+                let metrics = FaultMetrics {
+                    simulated: if k == 0 { cycles } else { 0 },
+                    skipped: if k == 0 { 0 } else { cycles },
+                    engine: "ppsfp",
+                };
+                let nanos = share + std::mem::take(&mut remainder);
+                self.stats.record(fo.outcome, &metrics, nanos);
+                out.push((
+                    fo,
+                    FaultTelemetry {
+                        metrics,
+                        nanos,
+                        shard,
+                    },
+                ));
+            }
+            return out;
         }
-        // Everything not answered by a word batch (all faults on the
-        // lockstep and sparse engines; non-batchable stragglers under
-        // PPSFP) runs fault by fault.
-        for (p, &fi) in slice.iter().enumerate() {
-            if slots[p].is_some() {
-                continue;
-            }
+        for &p in &claim.positions {
             if stopped() {
                 break;
             }
+            let fi = order[p];
             let t0 = Instant::now();
-            let (fo, metrics) = simulate_dispatch(
-                self.env,
-                ctx,
-                sim,
-                sparse.as_deref_mut(),
-                fi,
-                &self.faults[fi],
-                cancel,
-            );
+            let (fo, metrics) =
+                simulate_dispatch(self.env, ctx, kernels, fi, &self.faults[fi], cancel);
             let nanos = t0.elapsed().as_nanos() as u64;
-            // An aborted simulation returns a garbage outcome: drop it and
-            // the rest of the slice.
             if self.is_cancelled() {
                 break;
             }
             self.stats.record(fo.outcome, &metrics, nanos);
-            slots[p] = Some((
+            out.push((
                 fo,
                 FaultTelemetry {
                     metrics,
@@ -1398,26 +1393,18 @@ impl<'a> Campaign<'a> {
                 },
             ));
         }
-        // In-order prefix; only a stopped slice leaves holes, and its
-        // results are discarded by the caller anyway.
-        let mut results = Vec::with_capacity(slice.len());
-        for slot in slots {
-            match slot {
-                Some(r) => results.push(r),
-                None => break,
-            }
-        }
-        results
+        out
     }
 
-    /// Claims chunks of the simulation order, simulates them, and commits
+    /// Claims work from the simulation order, simulates it, and commits
     /// the outcomes strictly in fault-list order.
     ///
-    /// Several workers run on scoped threads, claim chunks in the order
-    /// the scheduling seed shuffles, and stream them back to the merge on
-    /// the calling thread. A lone worker runs on the calling thread itself
-    /// and claims in fault-list order, so each chunk is committed — traced,
-    /// and checked for early stop — as soon as it is simulated.
+    /// The order is split into [claims](plan_claims) up front. Several
+    /// workers run on scoped threads, take claims in the order the
+    /// scheduling seed shuffles, and stream them back to the merge on the
+    /// calling thread. A lone worker runs on the calling thread itself and
+    /// takes claims in list order, so outcomes are committed — traced, and
+    /// checked for early stop — as soon as the faults before them are.
     fn run_sharded(
         &self,
         ctx: &ExecContext,
@@ -1427,21 +1414,17 @@ impl<'a> Campaign<'a> {
         coverage: &mut CoverageCollection,
         hooks: Option<&ObsHooks<'_>>,
     ) -> Vec<FaultOutcome> {
-        let n = order.len();
         let netlist = self.env.netlist;
-        // PPSFP wants whole words per claim: a chunk below FAULT_LANES
-        // would cap every batch at the chunk size and waste lanes.
-        let base_word =
-            (engine == Engine::Ppsfp).then(|| WordSim::new(netlist).expect("levelizable netlist"));
-        let chunk = if base_word.is_some() {
-            self.chunk.max(FAULT_LANES)
-        } else {
-            self.chunk
-        };
-        let n_chunks = n.div_ceil(chunk);
-        let workers = self.threads.min(n_chunks.max(1));
-        // The seed shuffles only the order in which workers claim chunks.
-        let mut claim_order: Vec<usize> = (0..n_chunks).collect();
+        let accelerated = engine != Engine::Lockstep;
+        let claims = plan_claims(
+            order
+                .iter()
+                .map(|&fi| route(accelerated, &self.faults[fi]) == Kernel::Word),
+            self.chunk,
+        );
+        let workers = self.threads.min(claims.len().max(1));
+        // The seed shuffles only the order in which workers take claims.
+        let mut claim_order: Vec<usize> = (0..claims.len()).collect();
         if workers > 1 {
             claim_order.shuffle(&mut StdRng::seed_from_u64(self.seed));
         }
@@ -1449,6 +1432,7 @@ impl<'a> Campaign<'a> {
         let next_claim = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let base = Simulator::new(netlist).expect("levelizable netlist");
+        let base_word = accelerated.then(|| WordSim::new(netlist).expect("levelizable netlist"));
         let mut outcomes = Vec::with_capacity(self.faults.len());
         // Leading pruned faults precede the first simulated commit (an
         // all-pruned list never simulates at all).
@@ -1456,81 +1440,64 @@ impl<'a> Campaign<'a> {
             return outcomes;
         }
 
-        // One worker: claim, simulate, and hand each chunk to `deliver`
-        // until it declines or the claims run out.
+        // One worker: take claims, simulate them, and hand each to
+        // `deliver` until it declines or the claims run out.
         let work = |shard: usize, deliver: &mut dyn FnMut(usize, Vec<Simulated>) -> bool| {
             let _shard_span = hooks.map(|h| h.obs.shard_span("campaign/shard", shard as u64));
             // cloning shares the levelization; each fault or batch resets
             // the dynamic state anyway
-            let mut sim = base.clone_fresh();
-            let mut sparse =
-                (engine == Engine::Sparse).then(|| SparseSim::new(netlist, &ctx.topo, &ctx.trace));
-            let mut word = base_word.clone();
+            let mut kernels = Kernels::new(ctx, base.clone_fresh(), base_word.clone());
             // A set stop flag means the result is already fully committed;
-            // no further chunk can be needed.
+            // no further claim can be needed.
             while !stop.load(Ordering::Relaxed) {
-                let claim = next_claim.fetch_add(1, Ordering::Relaxed);
-                let Some(&ci) = claim_order.get(claim) else {
+                let Some(&ci) = claim_order.get(next_claim.fetch_add(1, Ordering::Relaxed)) else {
                     return;
                 };
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(n);
-                let chunk_out = self.simulate_slice(
-                    ctx,
-                    &mut sim,
-                    sparse.as_mut(),
-                    word.as_mut(),
-                    &order[lo..hi],
-                    shard as u64,
-                    Some(&stop),
-                );
-                if !deliver(ci, chunk_out) {
+                let out =
+                    self.simulate_claim(ctx, &mut kernels, &claims[ci], order, shard as u64, &stop);
+                if !deliver(ci, out) {
                     return;
                 }
             }
         };
 
-        // Deterministic merge: buffer out-of-order chunks, commit strictly
-        // in fault-list order; true once the result is complete. Trace
-        // records are emitted here, on the calling thread, so their file
-        // order matches fault-list order for any thread count.
-        let mut pending: BTreeMap<usize, Vec<Simulated>> = BTreeMap::new();
+        // Deterministic merge: park each outcome at its position in the
+        // simulation order, commit strictly in that order; true once the
+        // result is complete. Trace records are emitted here, on the
+        // calling thread, so their file order matches fault-list order for
+        // any thread count.
+        let mut parked: Vec<Option<Simulated>> = (0..order.len()).map(|_| None).collect();
         let mut next_commit = 0usize;
-        let mut merge = |ci: usize, chunk_out: Vec<Simulated>| -> bool {
-            pending.insert(ci, chunk_out);
-            while let Some(chunk_out) = pending.remove(&next_commit) {
-                // A cancelled worker sends a short chunk: commit its
-                // in-order prefix, then stop — everything past the hole
-                // must stay uncommitted.
-                let expected = (next_commit * chunk + chunk).min(n) - next_commit * chunk;
-                let partial = chunk_out.len() < expected;
+        let mut merge = |ci: usize, out: Vec<Simulated>| -> bool {
+            let positions = &claims[ci].positions;
+            // A cancelled worker sends a short claim: commit the in-order
+            // prefix that is complete, then stop — everything past the
+            // first hole must stay uncommitted.
+            let partial = out.len() < positions.len();
+            for (&p, simulated) in positions.iter().zip(out) {
+                parked[p] = Some(simulated);
+            }
+            while let Some((fo, tel)) = parked.get_mut(next_commit).and_then(Option::take) {
                 next_commit += 1;
-                for (fo, tel) in chunk_out {
-                    if self.commit_expanded(plans, coverage, &mut outcomes, fo, &tel, hooks) {
-                        return true;
-                    }
-                }
-                if partial {
+                if self.commit_expanded(plans, coverage, &mut outcomes, fo, &tel, hooks) {
                     return true;
                 }
             }
-            false
+            partial
         };
 
         if workers == 1 {
-            work(0, &mut |ci, chunk_out| !merge(ci, chunk_out));
+            work(0, &mut |ci, out| !merge(ci, out));
         } else {
             std::thread::scope(|scope| {
                 let (tx, rx) = mpsc::channel::<(usize, Vec<Simulated>)>();
                 for shard in 0..workers {
                     let (tx, work) = (tx.clone(), &work);
-                    scope.spawn(move || {
-                        work(shard, &mut |ci, chunk_out| tx.send((ci, chunk_out)).is_ok())
-                    });
+                    scope.spawn(move || work(shard, &mut |ci, out| tx.send((ci, out)).is_ok()));
                 }
                 drop(tx);
-                for (ci, chunk_out) in rx.iter() {
-                    if merge(ci, chunk_out) {
+                for (ci, out) in rx.iter() {
+                    if merge(ci, out) {
                         stop.store(true, Ordering::Relaxed);
                         break;
                     }
@@ -1541,6 +1508,44 @@ impl<'a> Campaign<'a> {
         }
         outcomes
     }
+}
+
+/// One unit of work a campaign worker takes: positions in the simulation
+/// order, simulated together.
+struct Claim {
+    /// The positions form one PPSFP word (otherwise a run of faults
+    /// simulated one by one).
+    word: bool,
+    /// Ascending positions in the simulation order.
+    positions: Vec<usize>,
+}
+
+/// Splits a simulation order into claims, given for each position whether
+/// its fault rides a word lane. Word-lane faults fill words of up to
+/// [`FAULT_LANES`], the others runs of up to `chunk`, each taking the next
+/// faults of its own kind in list order. A claim opens at its first
+/// position, so the claims come out ordered by it and one worker taking
+/// them in turn never waits long on a fault it has not reached yet.
+fn plan_claims(word_lane: impl Iterator<Item = bool>, chunk: usize) -> Vec<Claim> {
+    let mut claims: Vec<Claim> = Vec::new();
+    // the open run (index 0) and word (index 1), as indices into `claims`
+    let mut open = [None, None];
+    for (p, word) in word_lane.enumerate() {
+        let capacity = if word { FAULT_LANES } else { chunk };
+        let slot = &mut open[usize::from(word)];
+        let ci = *slot.get_or_insert_with(|| {
+            claims.push(Claim {
+                word,
+                positions: Vec::new(),
+            });
+            claims.len() - 1
+        });
+        claims[ci].positions.push(p);
+        if claims[ci].positions.len() == capacity {
+            *slot = None;
+        }
+    }
+    claims
 }
 
 #[cfg(test)]
@@ -2201,29 +2206,224 @@ mod tests {
         );
     }
 
+    /// The generated mixed list with two rounds of the exhaustive stuck-at
+    /// list woven in, one stuck-at after each mixed fault, and every tenth
+    /// of those turned into an `X` stuck-at: all five fault kinds, with the
+    /// known-value stuck-ats spread over the whole list.
+    fn interleaved_list(fx: &Fixture, env: &Environment<'_>) -> Vec<Fault> {
+        use socfmea_netlist::Logic;
+        let mixed = fault_list(env);
+        let stuck = exhaustive_stuck_list(&fx.nl);
+        let mut faults = Vec::new();
+        for (i, s) in stuck.iter().chain(&stuck).enumerate() {
+            faults.push(mixed[i % mixed.len()].clone());
+            let mut s = s.clone();
+            s.inject_cycle = i % 5;
+            if let FaultKind::StuckAt { value, .. } = &mut s.kind {
+                if i % 10 == 0 {
+                    *value = Logic::X;
+                }
+            }
+            faults.push(s);
+        }
+        faults
+    }
+
+    /// The kernel name a fault's trace record must carry on an
+    /// accelerated engine.
+    fn expected_kernel(fault: &Fault) -> &'static str {
+        match fault.kind {
+            FaultKind::StuckAt { value, .. } if value.is_known() => "ppsfp",
+            FaultKind::BitFlip { .. } | FaultKind::StuckAt { .. } | FaultKind::Glitch { .. } => {
+                "sparse"
+            }
+            FaultKind::Bridge { .. } | FaultKind::ClockStuck { .. } => "warm",
+        }
+    }
+
     #[test]
-    fn ppsfp_on_a_mixed_list_batches_stuck_ats_and_falls_back_for_the_rest() {
+    fn claims_pack_words_across_the_whole_order_and_runs_by_chunk() {
+        // 100 word-lane faults with a run of others after every 7th
+        let lanes: Vec<bool> = (0..130).map(|p| p % 13 >= 3).collect();
+        let (words, others): (usize, usize) = (100, 30);
+        assert_eq!(lanes.iter().filter(|&&w| w).count(), words);
+        for chunk in [1, 8, 64] {
+            let claims = plan_claims(lanes.iter().copied(), chunk);
+            let mut seen = vec![false; lanes.len()];
+            let mut firsts = Vec::new();
+            for claim in &claims {
+                assert!(claim.positions.windows(2).all(|w| w[0] < w[1]));
+                for &p in &claim.positions {
+                    assert_eq!(lanes[p], claim.word, "position {p} in the wrong claim");
+                    assert!(!std::mem::replace(&mut seen[p], true), "{p} claimed twice");
+                }
+                firsts.push(claim.positions[0]);
+            }
+            assert!(seen.iter().all(|&s| s), "every position claimed");
+            assert!(
+                firsts.windows(2).all(|w| w[0] < w[1]),
+                "claims by first position"
+            );
+            let sizes = |word: bool| -> Vec<usize> {
+                claims
+                    .iter()
+                    .filter(|c| c.word == word)
+                    .map(|c| c.positions.len())
+                    .collect()
+            };
+            assert_eq!(sizes(true), [FAULT_LANES, words - FAULT_LANES]);
+            let runs = sizes(false);
+            assert_eq!(runs.len(), others.div_ceil(chunk), "chunk {chunk}");
+            assert!(runs[..runs.len() - 1].iter().all(|&n| n == chunk));
+        }
+        // no word lanes (the lockstep engine): runs of `chunk` only
+        let claims = plan_claims(std::iter::repeat_n(false, 10), 4);
+        assert!(claims.iter().all(|c| !c.word));
+        assert_eq!(claims.len(), 3);
+        // a chunk past the list length is one run, reserved no larger
+        let claims = plan_claims(std::iter::repeat_n(false, 10), usize::MAX);
+        assert_eq!(claims.len(), 1);
+        assert_eq!(claims[0].positions.len(), 10);
+    }
+
+    #[test]
+    fn interleaved_stuck_ats_ride_words_packed_across_the_whole_list() {
         let fx = Fixture::new(12);
         let env = fx.env();
-        let mut faults = fault_list(&env);
-        faults.extend(exhaustive_stuck_list(&fx.nl));
-        let batchable = faults.iter().filter(|f| crate::ppsfp::batchable(f)).count() as u64;
-        assert!(batchable > 0 && batchable < faults.len() as u64);
-        let baseline = Campaign::new(&env, &faults).threads(1).run();
-        for threads in [1usize, 4] {
+        let faults = interleaved_list(&fx, &env);
+        let kinds: std::collections::BTreeSet<String> =
+            faults.iter().map(|f| kind_name(&f.kind)).collect();
+        assert_eq!(kinds.len(), 5, "every fault kind: {kinds:?}");
+        let known = faults.iter().filter(|f| ppsfp::batchable(f)).count() as u64;
+        assert!(known > FAULT_LANES as u64, "want more than one word");
+        assert!(faults.len() as u64 > known + 10, "want other kinds between");
+        let baseline = Campaign::new(&env, &faults).run();
+        for (engine, threads, chunk) in [
+            (Engine::Sparse, 1, 8),
+            (Engine::Ppsfp, 1, 1),
+            (Engine::Auto, 3, 8),
+            (Engine::Ppsfp, 3, 1),
+        ] {
+            let setting = format!("{engine:?}, {threads} threads, chunk {chunk}");
+            let (obs, buf) = traced_observer();
             let campaign = Campaign::new(&env, &faults)
-                .engine(Engine::Ppsfp)
-                .threads(threads);
+                .engine(engine)
+                .threads(threads)
+                .chunk(chunk)
+                .observe(&obs);
             let stats = campaign.stats();
             let result = campaign.run();
-            assert_eq!(baseline, result, "ppsfp diverges at {threads} threads");
-            assert!(stats.ppsfp_batches() > 0);
+            obs.finish().unwrap();
+            assert_eq!(baseline, result, "{setting}");
+            // one word per FAULT_LANES stuck-ats, however they interleave
             assert_eq!(
-                stats.ppsfp_lanes(),
-                batchable,
-                "every batchable fault rides a lane exactly once"
+                stats.ppsfp_batches(),
+                known.div_ceil(FAULT_LANES as u64),
+                "{setting}"
+            );
+            assert_eq!(stats.ppsfp_lanes(), known, "{setting}");
+            let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+            let mut records = 0;
+            for line in text.lines() {
+                let v = socfmea_obs::json::parse(line).unwrap();
+                if v.get("ev").unwrap().as_str() != Some("fault") {
+                    continue;
+                }
+                let i = v.get("i").unwrap().as_u64().unwrap() as usize;
+                assert_eq!(i, records, "trace order ({setting})");
+                assert_eq!(
+                    v.get("engine").unwrap().as_str(),
+                    Some(expected_kernel(&faults[i])),
+                    "fault #{i} ({}) on {setting}",
+                    faults[i].label
+                );
+                records += 1;
+            }
+            assert_eq!(records, faults.len());
+        }
+    }
+
+    #[test]
+    fn early_stop_on_an_interleaved_list_stops_at_the_lockstep_fault() {
+        let fx = Fixture::new(12);
+        let env = fx.env();
+        // the crafted flips (coverage completes at #5) with ten known
+        // stuck-ats after each, so a word runs far past the stopping point
+        let stuck: Vec<Fault> = exhaustive_stuck_list(&fx.nl)
+            .into_iter()
+            .filter(ppsfp::batchable)
+            .collect();
+        let mut faults = Vec::new();
+        for (i, flip) in early_stop_list(&fx, 6).into_iter().enumerate() {
+            faults.push(flip);
+            faults.extend(stuck.iter().cycle().skip(10 * i).take(10).cloned());
+        }
+        let lockstep = Campaign::new(&env, &faults)
+            .early_stop(STOP_ON_COVERAGE)
+            .run();
+        let stopped = lockstep.outcomes.len();
+        assert!(stopped < faults.len(), "early stop never triggered");
+        assert!(lockstep.coverage.is_complete(true));
+        for (engine, threads) in [(Engine::Sparse, 1), (Engine::Ppsfp, 1), (Engine::Auto, 3)] {
+            let campaign = Campaign::new(&env, &faults)
+                .engine(engine)
+                .threads(threads)
+                .chunk(2)
+                .early_stop(STOP_ON_COVERAGE);
+            let stats = campaign.stats();
+            let result = campaign.run();
+            assert_eq!(lockstep, result, "{engine:?} at {threads} threads");
+            let committed = faults[..stopped]
+                .iter()
+                .filter(|f| ppsfp::batchable(f))
+                .count() as u64;
+            assert!(
+                stats.ppsfp_lanes() > committed,
+                "the first word reaches past the stop ({engine:?})"
             );
         }
+    }
+
+    #[test]
+    fn a_cancel_mid_word_leaves_a_clean_in_order_prefix() {
+        // Two flips (one run claim at chunk 2), then a word of stuck-ats
+        // over a long workload. The watcher cancels once the run is
+        // simulated, while the word is still walking its cycles.
+        let fx = Fixture::new(20_000);
+        let env = fx.env();
+        let mut faults = early_stop_list(&fx, 0)[..2].to_vec();
+        faults.extend(
+            exhaustive_stuck_list(&fx.nl)
+                .into_iter()
+                .cycle()
+                .take(FAULT_LANES + 10),
+        );
+        let token = Arc::new(AtomicBool::new(false));
+        let campaign = Campaign::new(&env, &faults)
+            .engine(Engine::Ppsfp)
+            .chunk(2)
+            .cancel_token(Arc::clone(&token));
+        let stats = campaign.stats();
+        let watcher = {
+            let (token, stats) = (Arc::clone(&token), Arc::clone(&stats));
+            std::thread::spawn(move || {
+                while stats.faults_done() < 2 && !stats.is_finished() {
+                    std::thread::yield_now();
+                }
+                token.store(true, Ordering::Relaxed);
+            })
+        };
+        let result = campaign.run();
+        watcher.join().unwrap();
+        assert!(stats.is_cancelled());
+        let n = result.outcomes.len();
+        assert!(n < faults.len(), "cancellation never truncated the run");
+        if stats.ppsfp_batches() == 0 {
+            // the word was aborted: only the run before it committed
+            assert_eq!(n, 2);
+        }
+        let prefix = Campaign::new(&env, &faults[..n]).run();
+        assert_eq!(result.outcomes, prefix.outcomes);
     }
 
     #[test]

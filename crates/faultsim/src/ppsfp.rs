@@ -18,8 +18,14 @@
 //! property `tests/ppsfp_differential.rs` asserts on every example design.
 //!
 //! Only known-value stuck-at faults batch (a stuck-at is the only fault
-//! kind that is a pure persistent per-net override); everything else falls
-//! back to the lockstep path per fault.
+//! kind that is a pure persistent per-net override). Both accelerated
+//! engines ([`Engine::Sparse`](crate::Engine::Sparse) and
+//! [`Engine::Ppsfp`](crate::Engine::Ppsfp)) put every such fault on a
+//! lane, and pack the words across the whole fault list: each word takes
+//! the next up to [`FAULT_LANES`] stuck-ats in list order, however the
+//! other kinds fall between them. Those other kinds run one by one on the
+//! sparse kernel or a checkpointed warm start
+//! ([`accel`](crate::accel)).
 
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
@@ -29,8 +35,8 @@ use socfmea_netlist::NetId;
 use socfmea_sim::{WordSim, FAULT_LANES};
 
 /// True when a fault can ride a PPSFP word lane: a stuck-at with a known
-/// (`0`/`1`) value. `Engine::Auto` batches a fault list iff every fault
-/// satisfies this.
+/// (`0`/`1`) value. `Engine::Auto` resolves to `Engine::Ppsfp` iff every
+/// fault satisfies this.
 pub(crate) fn batchable(fault: &Fault) -> bool {
     matches!(fault.kind, FaultKind::StuckAt { value, .. } if value.is_known())
 }

@@ -11,7 +11,7 @@
 use crate::diag::{Anchor, Diagnostic, Severity};
 use crate::runner::LintConfig;
 use socfmea_core::ZoneSet;
-use socfmea_netlist::{levelize, Driver, Netlist};
+use socfmea_netlist::{levelize, Driver, GateId, Netlist};
 use socfmea_static::TestabilityAnalysis;
 
 /// Cap on individually-anchored findings per rule; the remainder is folded
@@ -126,7 +126,7 @@ fn check_unzoned_gates(netlist: &Netlist, zones: &ZoneSet, out: &mut Vec<Diagnos
         .gates()
         .iter()
         .enumerate()
-        .filter(|(i, _)| membership.cone_indices[*i].is_empty())
+        .filter(|(i, _)| membership.cones_of(GateId::from_index(*i)).is_empty())
         .map(|(_, g)| g.name.as_str())
         .take(3)
         .collect();

@@ -29,18 +29,33 @@ pub enum GateFan {
     Wide,
 }
 
-/// Per-gate cone membership over a set of cones.
+/// Per-gate cone membership over a set of cones, held as two flat arrays
+/// (the cones containing gate `g` are `cones[start[g]..start[g + 1]]`)
+/// rather than one allocation per gate.
 #[derive(Debug, Clone)]
 pub struct GateMembership {
-    /// For each gate (by [`GateId::index`]) the indices of the cones that
-    /// contain it.
-    pub cone_indices: Vec<Vec<usize>>,
+    start: Vec<u32>,
+    cones: Vec<usize>,
 }
 
 impl GateMembership {
+    /// The indices of the cones that contain `gate`, ascending.
+    pub fn cones_of(&self, gate: GateId) -> &[usize] {
+        let at = gate.index();
+        &self.cones[self.start[at] as usize..self.start[at + 1] as usize]
+    }
+
+    /// Every gate with the cones that contain it, in gate order.
+    pub fn iter(&self) -> impl Iterator<Item = (GateId, &[usize])> + '_ {
+        (0..self.start.len() - 1).map(|g| {
+            let gate = GateId::from_index(g);
+            (gate, self.cones_of(gate))
+        })
+    }
+
     /// Classifies a gate as local/wide/unassigned.
     pub fn fan(&self, gate: GateId) -> GateFan {
-        match self.cone_indices[gate.index()].len() {
+        match self.cones_of(gate).len() {
             0 => GateFan::Unassigned,
             1 => GateFan::Local,
             _ => GateFan::Wide,
@@ -51,7 +66,7 @@ impl GateMembership {
     /// `(unassigned, local, wide)`.
     pub fn census(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for v in &self.cone_indices {
+        for (_, v) in self.iter() {
             match v.len() {
                 0 => counts.0 += 1,
                 1 => counts.1 += 1,
@@ -89,13 +104,29 @@ impl GateMembership {
 /// # Ok::<(), socfmea_netlist::NetlistError>(())
 /// ```
 pub fn gate_membership(netlist: &Netlist, cones: &[Cone]) -> GateMembership {
-    let mut cone_indices = vec![Vec::new(); netlist.gate_count()];
-    for (ci, cone) in cones.iter().enumerate() {
+    // count each gate's cones, turn the counts into offsets, then place
+    // every cone index at its gate's next free slot
+    let mut start = vec![0u32; netlist.gate_count() + 1];
+    for cone in cones {
         for &g in &cone.gates {
-            cone_indices[g.index()].push(ci);
+            start[g.index() + 1] += 1;
         }
     }
-    GateMembership { cone_indices }
+    for g in 0..netlist.gate_count() {
+        start[g + 1] += start[g];
+    }
+    let mut next = start.clone();
+    let mut members = vec![0; start[netlist.gate_count()] as usize];
+    for (ci, cone) in cones.iter().enumerate() {
+        for &g in &cone.gates {
+            members[next[g.index()] as usize] = ci;
+            next[g.index()] += 1;
+        }
+    }
+    GateMembership {
+        start,
+        cones: members,
+    }
 }
 
 /// Pairwise shared-gate counts between cones, stored sparsely.
@@ -110,7 +141,7 @@ impl CorrelationMatrix {
     /// Builds the matrix from per-gate membership.
     pub fn from_membership(membership: &GateMembership, cone_count: usize) -> CorrelationMatrix {
         let mut shared: HashMap<(usize, usize), usize> = HashMap::new();
-        for cones in &membership.cone_indices {
+        for (_, cones) in membership.iter() {
             for (a_pos, &a) in cones.iter().enumerate() {
                 for &b in &cones[a_pos + 1..] {
                     let key = (a.min(b), a.max(b));
@@ -198,6 +229,16 @@ mod tests {
         let (_un, local, wide) = m.census();
         assert_eq!(local, 3);
         assert_eq!(wide, 1);
+        assert_eq!(m.cones_of(by_name("inv")), [0, 1]);
+        assert_eq!(m.cones_of(by_name("y2")), [2]);
+        // the flat arrays list exactly the cones that contain each gate
+        assert_eq!(m.iter().count(), nl.gate_count());
+        for (gate, listed) in m.iter() {
+            let want: Vec<usize> = (0..cones.len())
+                .filter(|&c| cones[c].gates.contains(&gate))
+                .collect();
+            assert_eq!(listed, want.as_slice(), "{gate:?}");
+        }
     }
 
     #[test]

@@ -131,7 +131,9 @@ pub struct Netlist {
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
     critical_nets: Vec<(NetId, CriticalNetKind)>,
-    net_index: HashMap<String, NetId>,
+    /// Net ids sorted by net name, for [`net_by_name`](Self::net_by_name):
+    /// four bytes per net rather than a second copy of every name.
+    by_name: Vec<NetId>,
 }
 
 impl Netlist {
@@ -177,7 +179,11 @@ impl Netlist {
 
     /// Looks a net up by name.
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.net_index.get(name).copied()
+        let nets = &self.nets;
+        self.by_name
+            .binary_search_by(|id| nets[id.index()].name.as_str().cmp(name))
+            .ok()
+            .map(|at| self.by_name[at])
     }
 
     /// Borrow a net by id.
@@ -607,6 +613,10 @@ impl NetlistBuilder {
                 check(&self.nets, rst)?;
             }
         }
+        // names are unique (`add_net` rejects duplicates), so a binary
+        // search over this order finds each one
+        let mut by_name: Vec<NetId> = (0..self.nets.len()).map(NetId::from_index).collect();
+        by_name.sort_unstable_by(|a, b| self.nets[a.index()].name.cmp(&self.nets[b.index()].name));
         Ok(Netlist {
             name: self.name,
             nets: self.nets,
@@ -616,7 +626,7 @@ impl NetlistBuilder {
             inputs: self.inputs,
             outputs: self.outputs,
             critical_nets: self.critical_nets,
-            net_index: self.net_index,
+            by_name,
         })
     }
 }
@@ -643,6 +653,25 @@ mod tests {
         assert!(matches!(nl.net(y_id).driver, Driver::Gate(_)));
         let gate = nl.gate(GateId(0));
         assert_eq!(nl.block_path(gate.block), "u1");
+    }
+
+    #[test]
+    fn every_net_is_found_by_its_own_name() {
+        let mut b = NetlistBuilder::new("names");
+        let ins: Vec<NetId> = ["m", "a[1]", "a[10]", "a[2]", "Z", "b"]
+            .iter()
+            .map(|n| b.input(*n))
+            .collect();
+        let y = b.gate(GateKind::Xor, &ins[..2], "y");
+        let q = b.dff("q", y);
+        b.output("out", q);
+        let nl = b.finish().expect("valid netlist");
+        for (i, net) in nl.nets().iter().enumerate() {
+            assert_eq!(nl.net_by_name(&net.name), Some(NetId::from_index(i)));
+        }
+        for missing in ["", "a", "a[3]", "zz", "out "] {
+            assert_eq!(nl.net_by_name(missing), None, "{missing:?}");
+        }
     }
 
     #[test]

@@ -256,6 +256,10 @@ const SINK_CAPACITY: usize = 4096;
 /// each tracking its own byte offset. [`close`](Self::close) marks the
 /// stream complete, waking every waiting reader — after which a drained
 /// reader sees end-of-stream instead of blocking.
+///
+/// Closed streams with equal bytes can share one allocation
+/// ([`freeze`](Self::freeze), [`share`](Self::share)); readers see the
+/// same bytes either way.
 #[derive(Debug, Default)]
 pub struct StreamBuffer {
     state: Mutex<StreamState>,
@@ -264,8 +268,16 @@ pub struct StreamBuffer {
 
 #[derive(Debug, Default)]
 struct StreamState {
+    /// The bytes, until a closed stream moves them into `shared`.
     data: Vec<u8>,
+    shared: Option<Arc<[u8]>>,
     closed: bool,
+}
+
+impl StreamState {
+    fn bytes(&self) -> &[u8] {
+        self.shared.as_deref().unwrap_or(&self.data)
+    }
 }
 
 impl StreamBuffer {
@@ -299,7 +311,7 @@ impl StreamBuffer {
 
     /// Bytes appended so far.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("stream lock").data.len()
+        self.state.lock().expect("stream lock").bytes().len()
     }
 
     /// True when nothing has been appended yet.
@@ -309,7 +321,7 @@ impl StreamBuffer {
 
     /// A copy of the full stream so far.
     pub fn snapshot(&self) -> Vec<u8> {
-        self.state.lock().expect("stream lock").data.clone()
+        self.state.lock().expect("stream lock").bytes().to_vec()
     }
 
     /// Reads everything past `offset`, blocking up to `timeout` for fresh
@@ -325,9 +337,37 @@ impl StreamBuffer {
                 .expect("stream lock");
             st = guard;
         }
-        let bytes = st.data.get(offset..).unwrap_or_default().to_vec();
-        let done = st.closed && offset + bytes.len() >= st.data.len();
+        let all = st.bytes();
+        let bytes = all.get(offset..).unwrap_or_default().to_vec();
+        let done = st.closed && offset + bytes.len() >= all.len();
         (bytes, done)
+    }
+
+    /// Moves a closed stream's bytes into one shareable allocation and
+    /// returns it; `None` while the stream is open. A frozen or sharing
+    /// stream returns the allocation it already reads from.
+    pub fn freeze(&self) -> Option<Arc<[u8]>> {
+        let mut st = self.state.lock().expect("stream lock");
+        if !st.closed {
+            return None;
+        }
+        if st.shared.is_none() {
+            st.shared = Some(Arc::from(std::mem::take(&mut st.data)));
+        }
+        st.shared.clone()
+    }
+
+    /// Drops a closed stream's own bytes and reads from `shared` instead,
+    /// when the two are equal byte for byte; true when it did. An open
+    /// stream, or one whose bytes differ, is left alone.
+    pub fn share(&self, shared: &Arc<[u8]>) -> bool {
+        let mut st = self.state.lock().expect("stream lock");
+        if !st.closed || st.bytes() != &shared[..] {
+            return false;
+        }
+        st.data = Vec::new();
+        st.shared = Some(Arc::clone(shared));
+        true
     }
 
     /// A [`Write`] adapter appending into this stream; dropping it closes
@@ -628,6 +668,42 @@ mod tests {
         assert_eq!(bytes, b"one\ntwo\n");
         assert!(done);
         assert_eq!(buf.snapshot(), b"one\ntwo\n");
+    }
+
+    #[test]
+    fn closed_streams_with_equal_bytes_share_one_allocation() {
+        let stream = |bytes: &[u8], close: bool| {
+            let buf = StreamBuffer::new();
+            buf.append(bytes);
+            if close {
+                buf.close();
+            }
+            buf
+        };
+        let first = stream(b"a\nb\n", true);
+        assert!(
+            stream(b"a\n", false).freeze().is_none(),
+            "open streams never freeze"
+        );
+        let shared = first.freeze().expect("closed");
+        assert!(Arc::ptr_eq(&shared, &first.freeze().unwrap()), "idempotent");
+        assert_eq!(first.snapshot(), b"a\nb\n");
+
+        let twin = stream(b"a\nb\n", true);
+        assert!(twin.share(&shared));
+        assert!(Arc::ptr_eq(&shared, &twin.freeze().unwrap()));
+        // readers see the same bytes, offsets and end-of-stream as before
+        assert_eq!(twin.len(), 4);
+        assert_eq!(twin.read_from(2, Duration::ZERO), (b"b\n".to_vec(), true));
+
+        // a differing or still-open stream keeps its own bytes
+        let prefix = stream(b"a\n", true);
+        assert!(!prefix.share(&shared));
+        assert!(!Arc::ptr_eq(&shared, &prefix.freeze().unwrap()));
+        let open = stream(b"a\nb\n", false);
+        assert!(!open.share(&shared));
+        open.append(b"c\n");
+        assert_eq!(open.snapshot(), b"a\nb\nc\n");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use socfmea_faultsim::{
 };
 use socfmea_netlist::Netlist;
 use socfmea_obs::metrics::Registry;
-use socfmea_obs::Observer;
+use socfmea_obs::{Observer, StreamBuffer};
 use socfmea_sim::Workload;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,6 +66,26 @@ pub struct SpecBundle {
     pub faults: Vec<Fault>,
     /// The shared build products `Campaign::artifacts` consumes.
     pub artifacts: Arc<CampaignArtifacts>,
+    /// The normalized `/trace` bytes of the first job on this bundle that
+    /// ended `done`; see [`share_trace`](Self::share_trace).
+    first_trace: Mutex<Option<Arc<[u8]>>>,
+}
+
+impl SpecBundle {
+    /// Lets the finished jobs of this bundle share one copy of their
+    /// trace. Call it only for a job that ended `done`, with its closed
+    /// `/trace` stream: the first such stream becomes the shared copy, and
+    /// a later one that equals it byte for byte drops its own buffer and
+    /// reads from that copy. A differing stream keeps its own bytes.
+    pub fn share_trace(&self, stream: &StreamBuffer) {
+        let mut first = self.first_trace.lock().expect("trace lock");
+        match &*first {
+            Some(bytes) => {
+                stream.share(bytes);
+            }
+            None => *first = stream.freeze(),
+        }
+    }
 }
 
 /// Spec key: every submission field that changes campaign *results or
@@ -251,6 +271,7 @@ impl ArtifactCache {
             profile,
             faults,
             artifacts,
+            first_trace: Mutex::new(None),
         })
     }
 

@@ -2,7 +2,7 @@
 //! the table the HTTP routes look jobs up in.
 
 use crate::cache::DesignEntry;
-use crate::protocol::JobSpec;
+use crate::protocol::{DesignRef, JobSpec};
 use socfmea_faultsim::CampaignStats;
 use socfmea_obs::json::Value;
 use socfmea_obs::StreamBuffer;
@@ -41,10 +41,15 @@ pub struct JobSummary {
 pub struct Job {
     /// Job id (`j-000001`).
     pub id: String,
-    /// The parsed submission.
+    /// The parsed submission. A `verilog` design's source text is dropped
+    /// once the design resolved: the job keeps
+    /// [`design_key`](Self::design_key) instead.
     pub spec: JobSpec,
-    /// The cached design this job runs against.
-    pub design: Arc<DesignEntry>,
+    /// The canonical key of the design this job runs against.
+    pub design_key: u64,
+    /// The cached design, until the worker that runs the job takes it
+    /// ([`take_design`](Self::take_design)).
+    design: Mutex<Option<Arc<DesignEntry>>>,
     /// Cooperative cancel token, observed per simulated cycle.
     pub cancel: Arc<AtomicBool>,
     /// The live normalized JSONL trace.
@@ -60,17 +65,28 @@ pub struct Job {
 }
 
 impl Job {
-    fn new(id: String, spec: JobSpec, design: Arc<DesignEntry>) -> Job {
+    fn new(id: String, mut spec: JobSpec, design: Arc<DesignEntry>) -> Job {
+        if let DesignRef::Verilog(source) = &mut spec.design {
+            *source = String::new();
+        }
         Job {
             id,
             spec,
-            design,
+            design_key: design.key,
+            design: Mutex::new(Some(design)),
             cancel: Arc::new(AtomicBool::new(false)),
             stream: Arc::new(StreamBuffer::new()),
             events: Arc::new(StreamBuffer::new()),
             state: Mutex::new(JobState::Queued),
             stats: Mutex::new(None),
         }
+    }
+
+    /// Hands the job's design to the worker that runs it; `None` once
+    /// taken. A finished job pins no design, so an entry the cache evicts
+    /// is freed as soon as no running job holds it.
+    pub fn take_design(&self) -> Option<Arc<DesignEntry>> {
+        self.design.lock().expect("job lock").take()
     }
 
     /// Appends one event line (`{"ev":...}\n`) to the job's events
@@ -152,7 +168,7 @@ impl Job {
             ("tenant", Value::Str(self.spec.tenant.clone())),
             (
                 "design_key",
-                Value::Str(format!("{:016x}", self.design.key)),
+                Value::Str(format!("{:016x}", self.design_key)),
             ),
             ("state", Value::Str(label.into())),
             ("faults_done", Value::uint(done)),
@@ -267,6 +283,33 @@ mod tests {
             "design key renders as 16 hex digits"
         );
         assert!(doc.get("dc").unwrap().is_null());
+    }
+
+    #[test]
+    fn a_job_keeps_only_its_design_key_once_a_worker_takes_the_design() {
+        let (netlist, _) = crate::design::Example::McuSingle.build().unwrap();
+        let source = Value::Str(socfmea_netlist::write_verilog(&netlist));
+        let spec = JobSpec::parse(&format!(r#"{{"verilog":{source},"cycles":8}}"#)).unwrap();
+        // a one-byte budget: the next design admitted evicts this one
+        let cache = ArtifactCache::new(1, Arc::new(Registry::new()));
+        let design = cache.design(resolve(&spec.design).unwrap());
+        let (key, entry) = (design.key, Arc::downgrade(&design));
+        let job = JobTable::new().create(spec, design);
+        assert_eq!(job.spec.design, DesignRef::Verilog(String::new()));
+        assert_eq!(job.design_key, key);
+
+        let taken = job.take_design().expect("the worker gets the design");
+        assert!(job.take_design().is_none(), "handed out once");
+        cache.design(resolve(&DesignRef::Example("fmem".into())).unwrap());
+        assert_eq!(cache.designs_cached(), 1);
+        assert!(entry.upgrade().is_some(), "the running job holds it");
+        drop(taken);
+        assert!(entry.upgrade().is_none(), "evicted and no longer pinned");
+        let status = job.status_doc();
+        assert_eq!(
+            status.get("design_key").unwrap().as_str(),
+            Some(format!("{key:016x}").as_str())
+        );
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub struct JobSpec {
     pub threads: usize,
     /// Campaign execution engine.
     pub engine: Engine,
-    /// Golden-trace checkpoint spacing under the sparse engine.
+    /// Golden-trace checkpoint spacing of the accelerated engines' warm
+    /// starts.
     pub checkpoint_interval: usize,
     /// Fault-collapsing mode.
     pub collapse: Collapse,

@@ -27,7 +27,7 @@
 //! periodic `progress` samples stream on `GET /v1/jobs/<id>/events` —
 //! leaving `/trace` byte-identical whether telemetry is on or off.
 
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, DesignEntry};
 use crate::design;
 use crate::http::{ChunkedWriter, Request, RequestError, Response};
 use crate::job::{Job, JobState, JobSummary, JobTable};
@@ -329,6 +329,7 @@ fn submit(shared: &Arc<Shared>, req: &Request, out: &mut TcpStream) {
         });
     if let Err(full) = enqueued {
         shared.registry.counter("serve.jobs.rejected").incr();
+        drop(job.take_design());
         job.finish(JobState::Failed("rejected: queue full".into()));
         job.stream.close();
         job.push_event(&lifecycle_event(
@@ -345,7 +346,7 @@ fn submit(shared: &Arc<Shared>, req: &Request, out: &mut TcpStream) {
     shared.registry.counter("serve.jobs.submitted").incr();
     let doc = Value::obj(vec![
         ("job", Value::Str(job.id.clone())),
-        ("design_key", Value::Str(format!("{:016x}", job.design.key))),
+        ("design_key", Value::Str(format!("{:016x}", job.design_key))),
         ("state", Value::Str("queued".into())),
     ]);
     let _ = Response::json(202, &doc.to_string()).write_to(out);
@@ -451,6 +452,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         let Some(job) = shared.jobs.get(&id) else {
             continue;
         };
+        // held for this iteration only: a finished job pins no design
+        let design = job.take_design();
         if shared.shutdown.load(Ordering::SeqCst) {
             // draining: don't start new campaigns, just unblock watchers
             job.request_cancel();
@@ -466,7 +469,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             continue;
         }
         job.push_event(&lifecycle_event(&job, "running", vec![]));
-        match run_job(shared, &job) {
+        match run_job(shared, &job, design) {
             Ok(()) => {}
             Err(msg) => {
                 shared.registry.counter("serve.jobs.failed").incr();
@@ -587,10 +590,16 @@ fn normalize_event(ev: TraceEvent) -> Option<TraceEvent> {
     }
 }
 
-/// Runs one job: warm (or build) the artifact bundle, then execute the
-/// exact `socfmea inject` campaign against it, streaming the normalized
-/// trace into the job's buffer.
-fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> Result<(), String> {
+/// Runs one job on its `design`: warm (or build) the artifact bundle, then
+/// execute the exact `socfmea inject` campaign against it, streaming the
+/// normalized trace into the job's buffer. A job that ends `done` shares
+/// its trace bytes with the bundle's earlier identical ones.
+fn run_job(
+    shared: &Arc<Shared>,
+    job: &Arc<Job>,
+    design: Option<Arc<DesignEntry>>,
+) -> Result<(), String> {
+    let design = design.ok_or("the job's design was already released")?;
     let sink =
         TraceSink::to_writer_mapped(Box::new(job.stream.writer()), Box::new(normalize_event));
     let observer = if shared.config.telemetry {
@@ -611,7 +620,7 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> Result<(), String> {
     };
     let bundle = match shared
         .cache
-        .bundle_observed(&job.design, &job.spec, Some(&observer))
+        .bundle_observed(&design, &job.spec, Some(&observer))
     {
         Ok(bundle) => bundle,
         Err(msg) => {
@@ -619,7 +628,7 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> Result<(), String> {
             return Err(msg);
         }
     };
-    let env = EnvironmentBuilder::new(&job.design.netlist, &job.design.zones, &bundle.workload)
+    let env = EnvironmentBuilder::new(&design.netlist, &design.zones, &bundle.workload)
         .alarms_matching("alarm")
         .build();
     let threads = if job.spec.threads == 0 {
@@ -669,6 +678,7 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> Result<(), String> {
         "cancelled"
     } else {
         shared.registry.counter("serve.jobs.completed").incr();
+        bundle.share_trace(&job.stream);
         job.finish(JobState::Done(summary));
         "done"
     };
@@ -682,4 +692,86 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> Result<(), String> {
         ],
     ));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use socfmea_obs::json;
+
+    /// Submits `body` and returns the server-side record of the job.
+    fn submit(server: &Server, client: &Client, body: &str) -> Arc<Job> {
+        let resp = client.submit_raw(body).expect("submit");
+        assert_eq!(resp.status, 202, "rejected: {}", resp.text());
+        let doc = json::parse(&resp.text()).expect("submit response");
+        let id = doc.get("job").and_then(|v| v.as_str()).expect("job id");
+        server.shared.jobs.get(id).expect("admitted job")
+    }
+
+    fn wait_until(job: &Job, reached: impl Fn(&JobState) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while !reached(&job.state()) {
+            assert!(
+                Instant::now() < deadline,
+                "{} stuck {:?}",
+                job.id,
+                job.state()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn done_jobs_of_one_spec_share_one_trace_and_a_cancelled_one_does_not() {
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            default_threads: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        let client = Client::new(server.addr().to_string());
+        let body = r#"{"example":"fmem","cycles":2048}"#;
+
+        // First on the bundle, but cancelled mid-run: its partial trace
+        // must not become the copy the done jobs share.
+        let cancelled = submit(&server, &client, body);
+        wait_until(&cancelled, |s| *s == JobState::Running);
+        assert_eq!(client.cancel(&cancelled.id).expect("cancel").status, 200);
+        wait_until(&cancelled, |s| !matches!(s, JobState::Running));
+        assert!(
+            matches!(cancelled.state(), JobState::Cancelled(Some(_))),
+            "the cancel landed after the run: {:?}",
+            cancelled.state()
+        );
+
+        let done: Vec<Arc<Job>> = (0..3)
+            .map(|_| {
+                let job = submit(&server, &client, body);
+                wait_until(&job, |s| matches!(s, JobState::Done(_)));
+                job
+            })
+            .collect();
+        let shared = done[0]
+            .stream
+            .freeze()
+            .expect("a done job's stream is closed");
+        for job in &done {
+            let mut watched = Vec::new();
+            assert_eq!(client.watch(&job.id, &mut watched).expect("watch"), 200);
+            assert_eq!(watched, &shared[..], "{}: /trace bytes differ", job.id);
+            let own = job.stream.freeze().expect("closed");
+            assert!(Arc::ptr_eq(&shared, &own), "{} keeps its own copy", job.id);
+        }
+        let partial = cancelled.stream.freeze().expect("closed");
+        assert!(!Arc::ptr_eq(&shared, &partial));
+        assert!(
+            partial.len() < shared.len(),
+            "the cancelled trace is partial"
+        );
+
+        server.shutdown();
+        server.join();
+    }
 }

@@ -34,7 +34,7 @@
 //!   --seed <s>                 fault-list sampling seed
 //!   --cycles <n>               synthetic workload length in cycles
 //!   --engine <e>               campaign engine (auto|lockstep|sparse|ppsfp)
-//!   --checkpoint-interval <n>  golden-trace checkpoint spacing (sparse)
+//!   --checkpoint-interval <n>  golden-trace checkpoint spacing (sparse/ppsfp)
 //!   --collapse                 simulate one representative per equivalence
 //!                              class, back-annotate the rest
 //!   --prune                    skip statically proven-undetectable faults,

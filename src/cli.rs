@@ -69,8 +69,8 @@ inject options:
                              ppsfp); every engine yields the bit-identical
                              result (default: auto — ppsfp for all-stuck-at
                              lists, sparse otherwise)
-  --checkpoint-interval <n>  golden-trace checkpoint spacing for the sparse
-                             engine (default: 16)
+  --checkpoint-interval <n>  golden-trace checkpoint spacing for the warm
+                             starts of sparse/ppsfp (default: 16)
   --collapse                 simulate one representative per equivalence
                              class, back-annotate the rest (bit-identical)
   --prune                    statically prove faults undetectable and skip

@@ -28,8 +28,8 @@ use soc_fmea::netlist::{Driver, Logic, NetId, Netlist};
 use soc_fmea::sim::Workload;
 
 /// A fault list exercising every fault kind, small enough for debug builds.
-/// The non-stuck-at kinds exercise the per-fault fallback inside a forced
-/// PPSFP run.
+/// The non-stuck-at kinds exercise the sparse kernel and the warm start
+/// inside a forced PPSFP run.
 fn fault_config() -> FaultListConfig {
     FaultListConfig {
         bitflips_per_zone: 2,
