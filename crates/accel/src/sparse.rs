@@ -28,8 +28,8 @@ use std::collections::BinaryHeap;
 /// Supported fault hooks are the sparse-friendly subset: persistent
 /// [`force`](Self::force) (stuck-at), single-cycle [`pulse`](Self::pulse)
 /// (glitch) and [`flip_ff`](Self::flip_ff) (SEU). Bridges and clock
-/// suppression mutate global evaluation semantics and stay on the
-/// full-simulation warm-start path.
+/// suppression mutate global evaluation semantics; the campaign runs them
+/// on word lanes (`socfmea_sim::WordSim`) instead.
 #[derive(Debug)]
 pub struct SparseSim<'a> {
     netlist: &'a Netlist,

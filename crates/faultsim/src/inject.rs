@@ -171,16 +171,8 @@ pub(crate) fn apply_fault(sim: &mut Simulator<'_>, fault: &Fault) -> Option<usiz
 }
 
 /// Runs one fault on the scalar simulator against the campaign's golden
-/// trace and classifies it. Two engine paths share this loop:
-///
-/// * **Lockstep** (`warm == false`), the reference engine: `sim` is reset
-///   to power-on and the whole workload is simulated and observed.
-/// * **Warm start** (`warm == true`; bridges and clock outages on the
-///   sparse engine, which change evaluation semantics globally): `sim`
-///   restores the nearest checkpoint at or before the activation cycle,
-///   skips the monitors on the (provably golden) warm-up prefix, and exits
-///   early once the fault has washed out and the flip-flop state matches
-///   golden again.
+/// trace and classifies it: the lockstep reference engine. `sim` is reset
+/// to power-on and the whole workload is simulated and observed.
 ///
 /// `sim` is reused across calls: a campaign worker pays the levelization
 /// cost once (via [`Simulator::clone_fresh`]). The result is a pure
@@ -196,43 +188,21 @@ pub(crate) fn simulate_scalar(
     sim: &mut Simulator<'_>,
     fault_index: usize,
     fault: &Fault,
-    warm: bool,
     cancel: Option<&AtomicBool>,
 ) -> (FaultOutcome, FaultMetrics) {
-    let len = env.workload.len();
-    let inject = fault.inject_cycle;
     let mut readings = Readings::new(fault);
-    let start = if !warm {
-        sim.reset_to_power_on();
-        0
-    } else if inject < len {
-        let cp = ctx
-            .trace
-            .checkpoint_at_or_before(inject)
-            .expect("non-empty trace has a cycle-0 checkpoint");
-        // Restoring overwrites all dynamic state, so a reused worker
-        // simulator needs no reset first.
-        sim.restore(cp);
-        cp.cycle() as usize
-    } else {
-        len // never activates: the whole run is golden
-    };
-    let observe_from = if warm { inject } else { 0 };
-    let mut metrics = FaultMetrics {
-        simulated: 0,
-        skipped: start as u64,
-        engine: if warm { "warm" } else { "lockstep" },
-    };
+    let mut metrics = FaultMetrics::default();
     let mut clock_off: Option<usize> = None;
+    sim.reset_to_power_on();
 
-    for cycle in start..len {
+    for (cycle, inputs) in env.workload.iter().enumerate() {
         if cancel_fired(cancel) {
             break;
         }
-        for &(n, v) in env.workload.cycle(cycle) {
+        for &(n, v) in inputs {
             sim.set(n, v);
         }
-        if cycle == inject {
+        if cycle == fault.inject_cycle {
             clock_off = apply_fault(sim, fault);
         }
         if clock_off == Some(0) {
@@ -241,35 +211,11 @@ pub(crate) fn simulate_scalar(
         }
         sim.eval();
         metrics.simulated += 1;
-        if cycle >= observe_from {
-            ctx.oracle
-                .observe_values(&mut readings, cycle, ctx.trace.row(cycle), sim.values());
-        }
+        ctx.oracle
+            .observe_values(&mut readings, cycle, ctx.trace.row(cycle), sim.values());
         sim.tick();
         if let Some(remaining) = clock_off.as_mut() {
             *remaining = remaining.saturating_sub(1);
-        }
-        // Warm-start early exit: once no fault hook is active and the
-        // stored flip-flop state equals golden (the q value entering the
-        // next cycle), the rest of the run is cycle-for-cycle golden and
-        // can fire no monitor.
-        if warm
-            && cycle >= inject
-            && cycle + 1 < len
-            && clock_off.is_none()
-            && !sim.has_active_faults()
-        {
-            let ff_state = sim.ff_states();
-            let back_in_step = sim
-                .netlist()
-                .dffs()
-                .iter()
-                .enumerate()
-                .all(|(i, ff)| ff_state[i] == ctx.trace.value(cycle + 1, ff.q));
-            if back_in_step {
-                metrics.skipped += (len - (cycle + 1)) as u64;
-                break;
-            }
         }
     }
 

@@ -9,11 +9,12 @@
 //! consider complete the fault injection experiment" (paper §5).
 //!
 //! Every engine observes its faults through one `MonitorOracle`, built
-//! once per campaign: the lockstep and warm-start engines feed it one lane
-//! per fault, the sparse engine feeds it its divergence set, and PPSFP
-//! feeds it the per-lane masks of a whole word. The per-fault readings it
-//! fills are classified by one shared tail, so every engine reaches the
-//! same [`FaultOutcome`](crate::FaultOutcome) for the same fault.
+//! once per campaign: the lockstep engine feeds it one lane per fault, the
+//! sparse engine feeds it its divergence set, and PPSFP feeds it the
+//! per-lane masks of a whole word — only the lanes it has not reported for
+//! a net before. The per-fault readings it fills are classified by one
+//! shared tail, so every engine reaches the same
+//! [`FaultOutcome`](crate::FaultOutcome) for the same fault.
 
 use crate::env::Environment;
 use crate::faultlist::Fault;
@@ -50,7 +51,7 @@ pub(crate) struct MonitorOracle {
 }
 
 /// What the monitors saw of one fault so far.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Readings {
     /// The net the fault physically disturbs (SENS), if it has one.
     target: Option<NetId>,
@@ -122,7 +123,13 @@ impl MonitorOracle {
     ///
     /// This is the only place golden-vs-faulty values become SENS, OBSE,
     /// output and alarm observations. Calls are idempotent and
-    /// order-independent within a cycle.
+    /// order-independent within a cycle, and idempotent across cycles too:
+    /// once `(net, lane)` has been reported diverged (or asserted), a
+    /// report at any later cycle leaves the readings unchanged, because
+    /// every reading is a flag (SENS), a set insert (the deviated zones) or
+    /// keeps only its first cycle (the first mismatch, the first alarm). A
+    /// caller may therefore pass only the lanes it has not reported for
+    /// `net` before, as the PPSFP word scan does.
     #[inline]
     pub(crate) fn observe(
         &self,
@@ -312,6 +319,55 @@ impl fmt::Display for CoverageCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::EnvironmentBuilder;
+    use crate::faultlist::FaultKind;
+    use socfmea_core::extract::{extract_zones, ExtractConfig};
+    use socfmea_rtl::RtlBuilder;
+    use socfmea_sim::Workload;
+
+    #[test]
+    fn a_repeated_report_at_a_later_cycle_changes_no_reading() {
+        // a register zone observed at its outputs, and a parity alarm
+        let mut r = RtlBuilder::new("obs");
+        let d = r.input_word("d", 2);
+        let q = r.register("data", &d, None, None);
+        let perr = r.xor2_bit(q.bit(0), q.bit(1));
+        r.output_word("o", &q);
+        r.output("alarm_par", perr);
+        let nl = r.finish().unwrap();
+        let zones = extract_zones(&nl, &ExtractConfig::default());
+        let w = Workload::new("idle");
+        let env = EnvironmentBuilder::new(&nl, &zones, &w)
+            .alarms_matching("alarm_")
+            .build();
+        let oracle = MonitorOracle::new(&env);
+        let (out, alarm) = (env.functional_outputs[0], env.alarm_nets[0]);
+        let zone = env.zone_of_net(out);
+        assert!(zone.is_some(), "the output is an observation point");
+        let fault = Fault {
+            kind: FaultKind::StuckAt {
+                net: out,
+                value: Logic::One,
+            },
+            zone,
+            inject_cycle: 0,
+            label: "out-sa1".into(),
+        };
+        let mut lanes = vec![Readings::new(&fault), Readings::new(&fault)];
+        // cycle 3: lane 0 diverges at the output, lane 1 asserts the alarm
+        oracle.observe(&mut lanes, 3, out, 0b01, 0b01);
+        oracle.observe(&mut lanes, 3, alarm, 0, 0b10);
+        let first = lanes.clone();
+        assert_eq!(first[0].first_mismatch, Some(3));
+        assert!(first[0].sens_triggered && !first[0].deviated_zones.is_empty());
+        assert_eq!(first[1].alarm_cycle, Some(3));
+        // the same (net, lane) reports at later cycles change nothing
+        for cycle in [4, 9] {
+            oracle.observe(&mut lanes, cycle, out, 0b01, 0b01);
+            oracle.observe(&mut lanes, cycle, alarm, 0, 0b10);
+            assert_eq!(lanes, first, "cycle {cycle}");
+        }
+    }
 
     fn zones(ids: &[u32]) -> BTreeSet<ZoneId> {
         ids.iter().map(|&i| ZoneId(i)).collect()

@@ -28,8 +28,9 @@ use soc_fmea::netlist::{Driver, Logic, NetId, Netlist};
 use soc_fmea::sim::Workload;
 
 /// A fault list exercising every fault kind, small enough for debug builds.
-/// The non-stuck-at kinds exercise the sparse kernel and the warm start
-/// inside a forced PPSFP run.
+/// Inside a forced PPSFP run the bridges and the clock outage share word
+/// lanes with the stuck-ats, and the bit flips and glitches exercise the
+/// sparse kernel.
 fn fault_config() -> FaultListConfig {
     FaultListConfig {
         bitflips_per_zone: 2,
