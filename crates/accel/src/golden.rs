@@ -1,13 +1,11 @@
 //! The golden-trace recorder: one fault-free run per environment, archived
 //! as a full per-cycle value matrix plus periodic full-state checkpoints.
 //!
-//! The matrix is what the divergence-set propagator reads *through*: a
-//! faulty simulation only stores the nets that differ from golden, and every
-//! other net's value is answered from here in O(1). The checkpoints let a
-//! full simulator resume from the nearest checkpoint at or before a cycle
-//! instead of re-simulating from power-on; none of the campaign's kernels
-//! reads them (a PPSFP word simulates from power-on, the propagator starts
-//! at the activation cycle).
+//! The matrix is what every campaign monitor compares against, and what a
+//! PPSFP word starts from: one row holds every net's value at one cycle.
+//! The checkpoints let a full simulator resume from the nearest checkpoint
+//! at or before a cycle instead of re-simulating from power-on; none of the
+//! campaign's kernels reads them.
 
 use socfmea_netlist::{LevelizeError, Logic, NetId, Netlist};
 use socfmea_sim::{SimSnapshot, Simulator, Workload};

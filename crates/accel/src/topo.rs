@@ -1,9 +1,9 @@
-//! Static propagation structure for the divergence-set kernel: the
-//! levelized gate order plus per-net fan-out adjacency.
+//! Static propagation structure: the levelized gate order plus per-net
+//! fan-out adjacency.
 //!
-//! Computed once per campaign and shared read-only by all workers; the
-//! sparse kernel needs it to (a) wake exactly the gates reading a divergent
-//! net and (b) pop woken gates in dependency order.
+//! The static testability analysis (`socfmea-static`) walks it: constant
+//! propagation in levelized order, and the structural fan-out cone behind
+//! every no-path-to-monitor proof.
 
 use socfmea_netlist::{levelize, DffId, GateId, LevelizeError, NetId, Netlist};
 
@@ -14,8 +14,6 @@ use socfmea_netlist::{levelize, DffId, GateId, LevelizeError, NetId, Netlist};
 pub struct Topology {
     /// The levelized gate evaluation order itself.
     order: Vec<GateId>,
-    /// Position of each gate (by [`GateId::index`]) in the levelized order.
-    pos: Vec<u32>,
     /// Gates reading each net (by [`NetId::index`]).
     gate_readers: Readers<GateId>,
     /// Flip-flops reading each net through `d`/`enable`/`reset`.
@@ -34,14 +32,8 @@ impl Topology {
     /// Returns [`LevelizeError`] if the netlist contains a combinational
     /// cycle (the same condition that makes it unsimulatable).
     pub fn build(netlist: &Netlist) -> Result<Topology, LevelizeError> {
-        let order = levelize(netlist)?;
-        let mut pos = vec![0u32; netlist.gate_count()];
-        for (p, g) in order.iter().enumerate() {
-            pos[g.index()] = p as u32;
-        }
         Ok(Topology {
-            order,
-            pos,
+            order: levelize(netlist)?,
             gate_readers: Readers::new(netlist.gate_fanout()),
             dff_readers: Readers::new(netlist.dff_fanout()),
             gate_out: netlist.gates().iter().map(|g| g.output).collect(),
@@ -83,35 +75,6 @@ impl Topology {
         }
         reach
     }
-
-    /// The position of `gate` in the levelized evaluation order.
-    #[inline]
-    pub fn position(&self, gate: GateId) -> u32 {
-        self.pos[gate.index()]
-    }
-
-    /// Gates whose inputs include the net with index `net_index`.
-    #[inline]
-    pub fn gate_readers(&self, net_index: usize) -> &[GateId] {
-        self.gate_readers.of(net_index)
-    }
-
-    /// Flip-flops reading the net with index `net_index` (via `d`, `enable`
-    /// or `reset`).
-    #[inline]
-    pub fn dff_readers(&self, net_index: usize) -> &[DffId] {
-        self.dff_readers.of(net_index)
-    }
-
-    /// Approximate heap size in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.order.len() * size_of::<GateId>()
-            + self.pos.len() * size_of::<u32>()
-            + self.gate_readers.approx_bytes()
-            + self.dff_readers.approx_bytes()
-            + self.gate_out.len() * size_of::<NetId>()
-            + self.dff_q.len() * size_of::<NetId>()
-    }
 }
 
 /// Per-net reader lists in compressed sparse row form: the readers of net
@@ -146,10 +109,6 @@ impl<T: Copy> Readers<T> {
     fn of(&self, net_index: usize) -> &[T] {
         &self.ids[self.start[net_index] as usize..self.start[net_index + 1] as usize]
     }
-
-    fn approx_bytes(&self) -> usize {
-        self.start.len() * size_of::<u32>() + self.ids.len() * size_of::<T>()
-    }
 }
 
 #[cfg(test)]
@@ -167,19 +126,20 @@ mod tests {
         r.output("flag", p);
         let nl = r.finish().unwrap();
         let topo = Topology::build(&nl).unwrap();
+        let position = |g: GateId| topo.levels().iter().position(|&l| l == g).unwrap();
         for (gi, gate) in nl.gates().iter().enumerate() {
             let g = GateId::from_index(gi);
             for &i in &gate.inputs {
-                assert!(topo.gate_readers(i.index()).contains(&g));
+                assert!(topo.gate_readers.of(i.index()).contains(&g));
                 // a reader always evaluates after the gate driving its input
                 if let socfmea_netlist::Driver::Gate(drv) = nl.net(i).driver {
-                    assert!(topo.position(drv) < topo.position(g));
+                    assert!(position(drv) < position(g));
                 }
             }
         }
         for (fi, ff) in nl.dffs().iter().enumerate() {
             let id = DffId::from_index(fi);
-            assert!(topo.dff_readers(ff.d.index()).contains(&id));
+            assert!(topo.dff_readers.of(ff.d.index()).contains(&id));
         }
     }
 
@@ -190,14 +150,15 @@ mod tests {
         let (gates, dffs) = (nl.gate_fanout(), nl.dff_fanout());
         assert_eq!(topo.gate_readers.nets(), nl.net_count());
         for n in 0..nl.net_count() {
-            assert_eq!(topo.gate_readers(n), gates[n].as_slice(), "net {n}");
-            assert_eq!(topo.dff_readers(n), dffs[n].as_slice(), "net {n}");
+            assert_eq!(topo.gate_readers.of(n), gates[n].as_slice(), "net {n}");
+            assert_eq!(topo.dff_readers.of(n), dffs[n].as_slice(), "net {n}");
         }
         // two flat arrays per reader kind: no allocation per net
         let readers: usize = gates.iter().map(Vec::len).sum::<usize>() * 4
             + dffs.iter().map(Vec::len).sum::<usize>() * 4;
         let nested = readers + 2 * nl.net_count() * size_of::<Vec<GateId>>();
-        let flat = topo.gate_readers.approx_bytes() + topo.dff_readers.approx_bytes();
+        let (g, d) = (&topo.gate_readers, &topo.dff_readers);
+        let flat = (g.start.len() + g.ids.len() + d.start.len() + d.ids.len()) * 4;
         assert!(flat < nested, "{flat} bytes flat vs {nested} nested");
     }
 
@@ -211,8 +172,9 @@ mod tests {
         let nl = r.finish().unwrap();
         let topo = Topology::build(&nl).unwrap();
         assert_eq!(topo.levels().len(), nl.gate_count());
-        for (p, &g) in topo.levels().iter().enumerate() {
-            assert_eq!(topo.position(g) as usize, p);
+        let mut seen = vec![false; nl.gate_count()];
+        for &g in topo.levels() {
+            assert!(!std::mem::replace(&mut seen[g.index()], true), "{g} twice");
         }
     }
 

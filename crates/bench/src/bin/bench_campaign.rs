@@ -72,7 +72,7 @@ fn main() {
                 .then(|| Observer::with_sink(TraceSink::to_writer(Box::new(std::io::sink()))));
             let t0 = Instant::now();
             let run = match &observer {
-                Some(obs) => setup.campaign_observed(&campaign_fault_config(), 1, None, obs),
+                Some(obs) => setup.campaign_observed(&campaign_fault_config(), 1, obs),
                 None => setup.campaign_threaded(&campaign_fault_config(), 1),
             };
             best_secs = best_secs.min(t0.elapsed().as_secs_f64());

@@ -10,9 +10,9 @@
 //!   reported by the campaign statistics, plus the purely structural
 //!   site-collapse ratio of the `FaultCollapser` for comparison,
 //! * effective throughput (faults classified per second, counting the
-//!   dictionary-annotated ones) for baseline, collapsed, collapsed
-//!   composed with the sparse engine, the bit-parallel PPSFP engine, and
-//!   PPSFP composed with collapsing (representatives packed 63 per word),
+//!   dictionary-annotated ones) for baseline, collapsed, the bit-parallel
+//!   PPSFP engine, and PPSFP composed with collapsing (representatives
+//!   packed 63 per word),
 //! * the speedup of each run against the baseline, and for the PPSFP runs
 //!   the lanes-per-word packing density and words evaluated.
 //!
@@ -100,9 +100,6 @@ struct Row {
     collapse_secs: f64,
     collapse_fps: f64,
     collapse_speedup: f64,
-    accel_secs: f64,
-    accel_fps: f64,
-    accel_speedup: f64,
     ppsfp_secs: f64,
     ppsfp_fps: f64,
     ppsfp_speedup: f64,
@@ -174,9 +171,6 @@ fn bench_design(design: &Design) -> Row {
     let (collapsed, cstats, collapse_secs, collapse_fps) = timed("collapse       ", n, || {
         run(Collapse::Dictionary, Engine::Lockstep)
     });
-    let (composed, _, accel_secs, accel_fps) = timed("collapse+accel ", n, || {
-        run(Collapse::Dictionary, Engine::Sparse)
-    });
     let (ppsfp, pstats, ppsfp_secs, ppsfp_fps) =
         timed("ppsfp          ", n, || run(Collapse::Off, Engine::Ppsfp));
     let (cppsfp, cpstats, cp_secs, cp_fps) = timed("collapse+ppsfp ", n, || {
@@ -185,11 +179,6 @@ fn bench_design(design: &Design) -> Row {
     assert_eq!(
         baseline, collapsed,
         "{}: collapsed result diverges from baseline",
-        design.name
-    );
-    assert_eq!(
-        baseline, composed,
-        "{}: collapse+accel result diverges from baseline",
         design.name
     );
     assert_eq!(
@@ -211,9 +200,6 @@ fn bench_design(design: &Design) -> Row {
         collapse_secs,
         collapse_fps,
         collapse_speedup: base_secs / collapse_secs,
-        accel_secs,
-        accel_fps,
-        accel_speedup: base_secs / accel_secs,
         ppsfp_secs,
         ppsfp_fps,
         ppsfp_speedup: base_secs / ppsfp_secs,
@@ -289,7 +275,7 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"design\": \"{}\", \"faults\": {}, \"simulated\": {}, \"annotated\": {}, \"collapse_ratio\": {:.3}, \"structural_site_ratio\": {:.3}, \"baseline\": {{\"seconds\": {:.4}, \"faults_per_sec\": {:.1}}}, \"collapse\": {{\"seconds\": {:.4}, \"faults_per_sec\": {:.1}, \"speedup_vs_baseline\": {:.2}}}, \"collapse_accel\": {{\"seconds\": {:.4}, \"faults_per_sec\": {:.1}, \"speedup_vs_baseline\": {:.2}}}, \"ppsfp\": {{\"seconds\": {:.4}, \"faults_per_sec\": {:.1}, \"speedup_vs_baseline\": {:.2}, \"lanes_per_word\": {:.2}, \"words_evaluated\": {}}}, \"collapse_ppsfp\": {{\"seconds\": {:.4}, \"faults_per_sec\": {:.1}, \"speedup_vs_baseline\": {:.2}, \"lanes_per_word\": {:.2}, \"words_evaluated\": {}}}}}{}",
+            "    {{\"design\": \"{}\", \"faults\": {}, \"simulated\": {}, \"annotated\": {}, \"collapse_ratio\": {:.3}, \"structural_site_ratio\": {:.3}, \"baseline\": {{\"seconds\": {:.4}, \"faults_per_sec\": {:.1}}}, \"collapse\": {{\"seconds\": {:.4}, \"faults_per_sec\": {:.1}, \"speedup_vs_baseline\": {:.2}}}, \"ppsfp\": {{\"seconds\": {:.4}, \"faults_per_sec\": {:.1}, \"speedup_vs_baseline\": {:.2}, \"lanes_per_word\": {:.2}, \"words_evaluated\": {}}}, \"collapse_ppsfp\": {{\"seconds\": {:.4}, \"faults_per_sec\": {:.1}, \"speedup_vs_baseline\": {:.2}, \"lanes_per_word\": {:.2}, \"words_evaluated\": {}}}}}{}",
             r.design,
             r.faults,
             r.simulated,
@@ -301,9 +287,6 @@ fn main() {
             r.collapse_secs,
             r.collapse_fps,
             r.collapse_speedup,
-            r.accel_secs,
-            r.accel_fps,
-            r.accel_speedup,
             r.ppsfp_secs,
             r.ppsfp_fps,
             r.ppsfp_speedup,

@@ -8,8 +8,8 @@
 
 use socfmea_core::{extract_zones, CampaignStatsSummary, FmeaResult, Worksheet, ZoneSet};
 use socfmea_faultsim::{
-    analyze, generate_fault_list, Campaign, CampaignAnalysis, CampaignResult, Engine,
-    EnvironmentBuilder, Fault, FaultListConfig, OperationalProfile,
+    analyze, generate_fault_list, Campaign, CampaignAnalysis, CampaignResult, EnvironmentBuilder,
+    Fault, FaultListConfig, OperationalProfile,
 };
 use socfmea_memsys::{certification_workload, config::MemSysConfig, fmea, rtl, MemSysPins};
 use socfmea_netlist::Netlist;
@@ -71,56 +71,31 @@ impl MemSysSetup {
         self.campaign_threaded(list, 1)
     }
 
-    /// Runs a full injection campaign sharded over `threads` worker
-    /// threads. The measurements are bit-identical for any thread count;
-    /// only [`CampaignRun::stats`] (wall-clock, throughput) differs.
+    /// Runs a full lockstep injection campaign sharded over `threads`
+    /// worker threads. The measurements are bit-identical for any thread
+    /// count; only [`CampaignRun::stats`] (wall-clock, throughput) differs.
     pub fn campaign_threaded(&self, list: &FaultListConfig, threads: usize) -> CampaignRun {
-        self.campaign_configured(list, threads, None)
-    }
-
-    /// Runs a full injection campaign on the checkpointed incremental
-    /// engine (`socfmea-accel`) with the given checkpoint interval. The
-    /// measurements are bit-identical to
-    /// [`campaign_threaded`](Self::campaign_threaded); only the execution
-    /// statistics differ.
-    pub fn campaign_accel(
-        &self,
-        list: &FaultListConfig,
-        threads: usize,
-        checkpoint_interval: usize,
-    ) -> CampaignRun {
-        self.campaign_configured(list, threads, Some(checkpoint_interval))
+        self.campaign_full(list, threads, None)
     }
 
     /// Runs a campaign with an [`Observer`] attached: spans, engine-path
     /// counters and (when the observer carries a trace sink) one record per
     /// fault land in `observer`. The measurements are bit-identical to the
-    /// unobserved variants — observation is how the benches quantify its
+    /// unobserved variant — observation is how the benches quantify its
     /// own overhead.
     pub fn campaign_observed(
         &self,
         list: &FaultListConfig,
         threads: usize,
-        accel_interval: Option<usize>,
         observer: &Observer,
     ) -> CampaignRun {
-        self.campaign_full(list, threads, accel_interval, Some(observer))
-    }
-
-    fn campaign_configured(
-        &self,
-        list: &FaultListConfig,
-        threads: usize,
-        accel_interval: Option<usize>,
-    ) -> CampaignRun {
-        self.campaign_full(list, threads, accel_interval, None)
+        self.campaign_full(list, threads, Some(observer))
     }
 
     fn campaign_full(
         &self,
         list: &FaultListConfig,
         threads: usize,
-        accel_interval: Option<usize>,
         observer: Option<&Observer>,
     ) -> CampaignRun {
         let env = EnvironmentBuilder::new(&self.netlist, &self.zones, &self.workload)
@@ -129,15 +104,7 @@ impl MemSysSetup {
             .build();
         let profile = OperationalProfile::collect(&env);
         let faults = generate_fault_list(&env, &profile, list);
-        let engine = if accel_interval.is_some() {
-            Engine::Sparse
-        } else {
-            Engine::Lockstep
-        };
-        let mut campaign = Campaign::new(&env, &faults)
-            .threads(threads)
-            .engine(engine)
-            .checkpoint_interval(accel_interval.unwrap_or(Campaign::DEFAULT_CHECKPOINT_INTERVAL));
+        let mut campaign = Campaign::new(&env, &faults).threads(threads);
         if let Some(obs) = observer {
             campaign = campaign.observe(obs);
         }

@@ -8,8 +8,8 @@
 //! same whether the campaign ran on one laptop core or a 64-way server.
 //!
 //! [`Campaign`] delivers both. Worker threads claim work from the fault
-//! list — a PPSFP word of lane faults, or a run of other faults — and
-//! simulate it against a shared golden trace, each on its own kernels
+//! list — a PPSFP word, or a run of faults for the lockstep engine — and
+//! simulate it against a shared golden trace, each on its own kernel
 //! (levelized once per campaign, reset — not re-levelized — between
 //! faults). Finished claims stream back over a channel and are
 //! committed **strictly in fault-list order**; coverage
@@ -19,11 +19,11 @@
 //! scheduling seed, and `CampaignResult` is `Eq` so tests assert exactly
 //! that.
 
-use crate::accel::{route, simulate_dispatch, ExecContext, FaultMetrics, Kernel, Kernels};
+use crate::accel::{ExecContext, FaultMetrics, Kernels};
 use crate::collapse::{CollapsePlan, FaultCollapser};
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
-use crate::inject::{CampaignResult, FaultOutcome, Outcome};
+use crate::inject::{simulate_scalar, CampaignResult, FaultOutcome, Outcome};
 use crate::monitors::CoverageCollection;
 use crate::ppsfp;
 use crate::prune::PrunePlan;
@@ -62,55 +62,38 @@ pub enum EarlyStop {
 /// changes *how fast* the verdicts arrive and which counters advance in
 /// [`CampaignStats`] / the observer's metrics registry:
 ///
-/// | Engine              | Fault kind                                    | Kernel |
-/// |---------------------|-----------------------------------------------|--------|
-/// | `Lockstep`          | all                                           | full golden-vs-faulty co-simulation from power-on, one fault at a time (the reference) |
-/// | `Sparse` or `Ppsfp` | known-value stuck-at, bridge, clock outage    | a lane of a bit-parallel PPSFP word: up to [`FAULT_LANES`] faults per `u64` word, lane 0 golden, simulated from power-on |
-/// | `Sparse` or `Ppsfp` | bit flip, glitch, `X` stuck-at                | divergence-set propagation from the activation cycle, converging early |
-/// | `Auto`              | —                                             | resolves to `Ppsfp` when every fault in the list is a known-value stuck-at, `Sparse` otherwise |
+/// | Engine     | Kernel |
+/// |------------|--------|
+/// | `Lockstep` | full golden-vs-faulty co-simulation from power-on, one fault at a time (the reference) |
+/// | `Ppsfp`    | a lane of a bit-parallel PPSFP word for every fault kind: up to [`FAULT_LANES`] faults per `u64` word, lane 0 golden, started from the golden trace at the word's first inject cycle and stopped once every lane has re-converged with lane 0 |
+/// | `Auto`     | resolves to `Ppsfp` for a non-empty fault list, `Lockstep` for an empty one |
 ///
-/// The two accelerated engines route every fault the same way; they
-/// differ only in name (the trace's `meta` record reports `accel: true`
-/// for `Sparse`).
+/// The trace's `meta` record names the resolved engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Resolve per fault list: [`Ppsfp`](Engine::Ppsfp) for pure
-    /// known-value stuck-at lists, [`Sparse`](Engine::Sparse) otherwise.
+    /// Resolve per fault list: [`Ppsfp`](Engine::Ppsfp) for any non-empty
+    /// list.
     #[default]
     Auto,
     /// The baseline golden-vs-faulty lockstep engine.
     Lockstep,
-    /// The accelerated engine as resolved for mixed lists: known-value
-    /// stuck-ats, bridges and clock outages on PPSFP word lanes, the
-    /// state-override faults on the divergence-set kernel
-    /// (`socfmea-accel`).
-    Sparse,
-    /// The accelerated engine as resolved for pure known-value stuck-at
-    /// lists (pattern-parallel single-fault propagation: batches of up to
-    /// [`FAULT_LANES`] stuck-ats share one word-level netlist evaluation
-    /// per cycle). Routes every fault exactly like
-    /// [`Sparse`](Engine::Sparse).
+    /// The accelerated engine (fault-parallel single-fault propagation:
+    /// batches of up to [`FAULT_LANES`] faults of any kind share one
+    /// word-level netlist evaluation per cycle).
     Ppsfp,
 }
 
 impl Engine {
     /// The engine a campaign over `faults` will actually run on:
-    /// [`Engine::Auto`] picks PPSFP when every fault is a known-value
-    /// stuck-at and the sparse engine otherwise; a fixed
-    /// engine is returned unchanged. [`Campaign::run`] and
-    /// [`CampaignArtifacts::prepare`] resolve with exactly this function,
-    /// so artifacts prepared ahead of time match the run that uses them.
+    /// [`Engine::Auto`] picks PPSFP for any fault and the lockstep engine
+    /// (the cheapest prepare) for an empty list; a fixed engine is returned
+    /// unchanged. [`Campaign::run`] and [`CampaignArtifacts::prepare`]
+    /// resolve with exactly this function, so artifacts prepared ahead of
+    /// time match the run that uses them.
     pub fn resolve_for(self, faults: &[Fault]) -> Engine {
         match self {
-            Engine::Auto => {
-                if faults.is_empty() {
-                    Engine::Lockstep
-                } else if faults.iter().all(ppsfp::known_stuck_at) {
-                    Engine::Ppsfp
-                } else {
-                    Engine::Sparse
-                }
-            }
+            Engine::Auto if faults.is_empty() => Engine::Lockstep,
+            Engine::Auto => Engine::Ppsfp,
             fixed => fixed,
         }
     }
@@ -178,7 +161,7 @@ pub struct CampaignStats {
     /// Cycles actually evaluated across all faults so far.
     cycles_simulated: AtomicU64,
     /// Cycles answered from the golden trace without evaluation (golden
-    /// prefixes before activation, post-convergence suffixes and lanes
+    /// prefixes before a word starts, suffixes after it converged and lanes
     /// sharing a word; 0 on the baseline path).
     cycles_skipped: AtomicU64,
     /// Total wall-clock nanoseconds spent inside per-fault simulation.
@@ -189,7 +172,7 @@ pub struct CampaignStats {
     /// per batch; lane 0 is always the golden machine and is not counted).
     ppsfp_lanes: AtomicU64,
     /// Word-level cycle evaluations across all PPSFP batches (one per
-    /// workload cycle per batch — each answers every packed lane at once).
+    /// cycle a batch ran — each answers every packed lane at once).
     ppsfp_words: AtomicU64,
     /// Nanoseconds from `anchor` to run start / end; `u64::MAX` = not yet.
     started_nanos: AtomicU64,
@@ -407,20 +390,19 @@ impl CampaignStats {
         )
     }
 
-    /// Cycles actually evaluated so far (full or sparse).
+    /// Cycles actually evaluated so far (scalar or word-level).
     pub fn cycles_simulated(&self) -> u64 {
         self.cycles_simulated.load(Ordering::Relaxed)
     }
 
     /// Cycles answered from the golden trace without evaluation: golden
-    /// prefixes before activation, post-convergence suffixes and the cycles
-    /// of lanes that shared a word. Always 0 for baseline runs.
+    /// prefixes before a word starts, suffixes after it converged and the
+    /// cycles of lanes that shared a word. Always 0 for baseline runs.
     pub fn cycles_skipped(&self) -> u64 {
         self.cycles_skipped.load(Ordering::Relaxed)
     }
 
-    /// PPSFP batches launched so far (0 unless an accelerated engine met a
-    /// known-value stuck-at, a bridge or a clock outage).
+    /// PPSFP batches launched so far (0 on the lockstep engine).
     pub fn ppsfp_batches(&self) -> u64 {
         self.ppsfp_batches.load(Ordering::Relaxed)
     }
@@ -771,7 +753,7 @@ struct ObsHooks<'o> {
     obs: &'o Observer,
     trace_faults: bool,
     fault_nanos: Arc<Histogram>,
-    engines: [(&'static str, Arc<Counter>); 5],
+    engines: [(&'static str, Arc<Counter>); 4],
 }
 
 impl<'o> ObsHooks<'o> {
@@ -783,7 +765,6 @@ impl<'o> ObsHooks<'o> {
             fault_nanos: obs.histogram("campaign.fault.nanos"),
             engines: [
                 ("lockstep", obs.counter("campaign.engine.lockstep")),
-                ("sparse", obs.counter("campaign.engine.sparse")),
                 ("ppsfp", obs.counter("campaign.engine.ppsfp")),
                 ("dictionary", obs.counter("campaign.engine.dictionary")),
                 ("pruned", obs.counter("campaign.engine.pruned")),
@@ -912,15 +893,15 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Sets the chunk size: how many faults a worker claims at a time for
-    /// the one-by-one kernels (0 is treated as 1). Smaller chunks balance
-    /// load better; larger chunks lower synchronisation traffic.
+    /// Sets the chunk size: how many faults a lockstep worker claims at a
+    /// time (0 is treated as 1). Smaller chunks balance load better; larger
+    /// chunks lower synchronisation traffic.
     ///
-    /// A claim holds the next `faults_per_chunk` such faults in list
-    /// order. On an accelerated engine, known-value stuck-ats, bridges and
-    /// clock outages are claimed apart from them, a whole PPSFP word (the
-    /// next up to [`FAULT_LANES`] in list order) at a time, whatever the
-    /// chunk size.
+    /// A lockstep claim holds the next `faults_per_chunk` faults in list
+    /// order. The accelerated engine ignores the chunk size: it claims a
+    /// whole PPSFP word at a time, up to [`FAULT_LANES`] faults packed by
+    /// inject cycle (list order among equal cycles), so that a word's lanes
+    /// arm close together.
     pub fn chunk(mut self, faults_per_chunk: usize) -> Self {
         self.chunk = faults_per_chunk.max(1);
         self
@@ -939,9 +920,9 @@ impl<'a> Campaign<'a> {
     /// Like every other builder setting, this changes only *how* the
     /// campaign executes: the [`CampaignResult`] is bit-identical across
     /// engines. The work saved shows up in
-    /// [`CampaignStats::cycles_skipped`] (sparse kernel, and the lanes
-    /// riding a word) and [`CampaignStats::ppsfp_lanes_per_word`] (PPSFP
-    /// words).
+    /// [`CampaignStats::cycles_skipped`] (the cycles before a word starts
+    /// and after it converged, and the lanes riding a word) and
+    /// [`CampaignStats::ppsfp_lanes_per_word`].
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -949,8 +930,7 @@ impl<'a> Campaign<'a> {
 
     /// Sets the golden checkpoint interval (0 is treated as 1): the
     /// campaign's golden trace keeps a full simulator snapshot every
-    /// `cycles` cycles. No kernel reads them — a PPSFP word simulates from
-    /// power-on, the sparse kernel starts at the activation cycle from the
+    /// `cycles` cycles. No kernel reads them — a PPSFP word starts from the
     /// trace's per-cycle values — so the interval sizes only the trace's
     /// checkpoint store; provably does not affect the result.
     pub fn checkpoint_interval(mut self, cycles: usize) -> Self {
@@ -1065,7 +1045,10 @@ impl<'a> Campaign<'a> {
                 threads: self.threads as u64,
                 cycles: self.env.workload.len() as u64,
                 seed: self.seed,
-                accel: engine == Engine::Sparse,
+                engine: match engine {
+                    Engine::Lockstep => "lockstep",
+                    _ => "ppsfp",
+                },
                 collapse,
             });
         }
@@ -1311,90 +1294,81 @@ impl<'a> Campaign<'a> {
     }
 
     /// Simulates one claim, recording live stats per verdict, and returns
-    /// the outcomes with their telemetry in claim order. A word claim runs
-    /// as one PPSFP batch; a run claim goes fault by fault through the
-    /// kernel router. A set `stop` flag (the merged result is already
-    /// complete) or cancellation aborts between simulations, and an
-    /// aborted simulation's outcome is dropped: the returned prefix is
-    /// then short, and the merge commits nothing past it.
+    /// the outcomes with their telemetry in claim order. A word worker runs
+    /// the claim as one PPSFP batch; a lockstep worker goes fault by fault.
+    /// A set `stop` flag (the merged result is already complete) or
+    /// cancellation aborts between simulations, and an aborted simulation's
+    /// outcome is dropped: the returned prefix is then short, and the merge
+    /// commits nothing past it.
     fn simulate_claim(
         &self,
         ctx: &ExecContext,
         kernels: &mut Kernels<'_>,
-        claim: &Claim,
+        claim: &[usize],
         order: &[usize],
         shard: u64,
         stop: &AtomicBool,
     ) -> Vec<Simulated> {
         let cancel = self.cancel.as_deref();
         let stopped = || stop.load(Ordering::Relaxed) || self.is_cancelled();
-        let mut out = Vec::with_capacity(claim.positions.len());
-        if claim.word {
-            let Kernels::Accelerated { word, .. } = kernels else {
-                unreachable!("word claims exist on the accelerated engines only");
-            };
-            if stopped() {
-                return out;
+        let mut out = Vec::with_capacity(claim.len());
+        let telemetry = |metrics, nanos| FaultTelemetry {
+            metrics,
+            nanos,
+            shard,
+        };
+        match kernels {
+            Kernels::Word(word) => {
+                if stopped() {
+                    return out;
+                }
+                let batch: Vec<(usize, &Fault)> = claim
+                    .iter()
+                    .map(|&p| (order[p], &self.faults[order[p]]))
+                    .collect();
+                let t0 = Instant::now();
+                let (fos, cycles) = ppsfp::simulate_batch(self.env, ctx, word, &batch, cancel);
+                let nanos = t0.elapsed().as_nanos() as u64;
+                if self.is_cancelled() {
+                    return out;
+                }
+                self.stats.record_ppsfp_batch(batch.len() as u64, cycles);
+                // Per-fault attribution of the shared batch: the first lane
+                // carries the evaluated cycles (the word walk ran once), the
+                // others ride along for free; wall-clock splits evenly with
+                // the rounding remainder on the first.
+                let len = self.env.workload.len() as u64;
+                let share = nanos / batch.len() as u64;
+                let mut remainder = nanos - share * batch.len() as u64;
+                for (k, fo) in fos.into_iter().enumerate() {
+                    let simulated = if k == 0 { cycles } else { 0 };
+                    let metrics = FaultMetrics {
+                        simulated,
+                        skipped: len - simulated,
+                        engine: "ppsfp",
+                    };
+                    let nanos = share + std::mem::take(&mut remainder);
+                    self.stats.record(fo.outcome, &metrics, nanos);
+                    out.push((fo, telemetry(metrics, nanos)));
+                }
             }
-            let batch: Vec<(usize, &Fault)> = claim
-                .positions
-                .iter()
-                .map(|&p| (order[p], &self.faults[order[p]]))
-                .collect();
-            let t0 = Instant::now();
-            let fos = ppsfp::simulate_batch(self.env, &ctx.oracle, word, &batch, cancel);
-            let nanos = t0.elapsed().as_nanos() as u64;
-            if self.is_cancelled() {
-                return out;
+            Kernels::Lockstep(sim) => {
+                for &p in claim {
+                    if stopped() {
+                        break;
+                    }
+                    let fi = order[p];
+                    let t0 = Instant::now();
+                    let (fo, metrics) =
+                        simulate_scalar(self.env, ctx, sim, fi, &self.faults[fi], cancel);
+                    let nanos = t0.elapsed().as_nanos() as u64;
+                    if self.is_cancelled() {
+                        break;
+                    }
+                    self.stats.record(fo.outcome, &metrics, nanos);
+                    out.push((fo, telemetry(metrics, nanos)));
+                }
             }
-            let cycles = self.env.workload.len() as u64;
-            self.stats.record_ppsfp_batch(batch.len() as u64, cycles);
-            // Per-fault attribution of the shared batch: the first lane
-            // carries the evaluated cycles (the word walk ran once), the
-            // others ride along for free; wall-clock splits evenly with
-            // the rounding remainder on the first.
-            let share = nanos / batch.len() as u64;
-            let mut remainder = nanos - share * batch.len() as u64;
-            for (k, fo) in fos.into_iter().enumerate() {
-                let metrics = FaultMetrics {
-                    simulated: if k == 0 { cycles } else { 0 },
-                    skipped: if k == 0 { 0 } else { cycles },
-                    engine: "ppsfp",
-                };
-                let nanos = share + std::mem::take(&mut remainder);
-                self.stats.record(fo.outcome, &metrics, nanos);
-                out.push((
-                    fo,
-                    FaultTelemetry {
-                        metrics,
-                        nanos,
-                        shard,
-                    },
-                ));
-            }
-            return out;
-        }
-        for &p in &claim.positions {
-            if stopped() {
-                break;
-            }
-            let fi = order[p];
-            let t0 = Instant::now();
-            let (fo, metrics) =
-                simulate_dispatch(self.env, ctx, kernels, fi, &self.faults[fi], cancel);
-            let nanos = t0.elapsed().as_nanos() as u64;
-            if self.is_cancelled() {
-                break;
-            }
-            self.stats.record(fo.outcome, &metrics, nanos);
-            out.push((
-                fo,
-                FaultTelemetry {
-                    metrics,
-                    nanos,
-                    shard,
-                },
-            ));
         }
         out
     }
@@ -1417,14 +1391,13 @@ impl<'a> Campaign<'a> {
         coverage: &mut CoverageCollection,
         hooks: Option<&ObsHooks<'_>>,
     ) -> Vec<FaultOutcome> {
-        let netlist = self.env.netlist;
         let accelerated = engine != Engine::Lockstep;
-        let claims = plan_claims(
-            order
-                .iter()
-                .map(|&fi| route(accelerated, &self.faults[fi]) == Kernel::Word),
-            self.chunk,
-        );
+        let claims = if accelerated {
+            let inject = order.iter().map(|&fi| self.faults[fi].inject_cycle);
+            plan_claims(inject, FAULT_LANES)
+        } else {
+            plan_claims(std::iter::repeat_n(0, order.len()), self.chunk)
+        };
         let workers = self.threads.min(claims.len().max(1));
         // The seed shuffles only the order in which workers take claims.
         let mut claim_order: Vec<usize> = (0..claims.len()).collect();
@@ -1434,7 +1407,7 @@ impl<'a> Campaign<'a> {
 
         let next_claim = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
-        let mut base = Kernels::new(ctx, netlist, accelerated);
+        let mut base = Kernels::new(self.env.netlist, accelerated);
         let mut outcomes = Vec::with_capacity(self.faults.len());
         // Leading pruned faults precede the first simulated commit (an
         // all-pruned list never simulates at all).
@@ -1470,7 +1443,7 @@ impl<'a> Campaign<'a> {
         let mut parked: Vec<Option<Simulated>> = (0..order.len()).map(|_| None).collect();
         let mut next_commit = 0usize;
         let mut merge = |ci: usize, out: Vec<Simulated>| -> bool {
-            let positions = &claims[ci].positions;
+            let positions = &claims[ci];
             // A cancelled worker sends a short claim: commit the in-order
             // prefix that is complete, then stop — everything past the
             // first hole must stay uncommitted.
@@ -1490,10 +1463,10 @@ impl<'a> Campaign<'a> {
         if workers == 1 {
             work(0, &mut base, &mut |ci, out| !merge(ci, out));
         } else {
-            // The first worker takes the base kernels, the others fork them:
+            // The first worker takes the base kernel, the others fork it:
             // the levelization is shared, and each fault or batch resets the
             // dynamic state anyway.
-            let forks: Vec<Kernels<'_>> = (1..workers).map(|_| base.fork(ctx)).collect();
+            let forks: Vec<Kernels<'_>> = (1..workers).map(|_| base.fork()).collect();
             std::thread::scope(|scope| {
                 let (tx, rx) = mpsc::channel::<(usize, Vec<Simulated>)>();
                 for (shard, mut kernels) in std::iter::once(base).chain(forks).enumerate() {
@@ -1519,41 +1492,27 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// One unit of work a campaign worker takes: positions in the simulation
-/// order, simulated together.
-struct Claim {
-    /// The positions form one PPSFP word (otherwise a run of faults
-    /// simulated one by one).
-    word: bool,
-    /// Ascending positions in the simulation order.
-    positions: Vec<usize>,
-}
-
-/// Splits a simulation order into claims, given for each position whether
-/// its fault rides a word lane. Word-lane faults fill words of up to
-/// [`FAULT_LANES`], the others runs of up to `chunk`, each taking the next
-/// faults of its own kind in list order. A claim opens at its first
-/// position, so the claims come out ordered by it and one worker taking
-/// them in turn never waits long on a fault it has not reached yet.
-fn plan_claims(word_lane: impl Iterator<Item = bool>, chunk: usize) -> Vec<Claim> {
-    let mut claims: Vec<Claim> = Vec::new();
-    // the open run (index 0) and word (index 1), as indices into `claims`
-    let mut open = [None, None];
-    for (p, word) in word_lane.enumerate() {
-        let capacity = if word { FAULT_LANES } else { chunk };
-        let slot = &mut open[usize::from(word)];
-        let ci = *slot.get_or_insert_with(|| {
-            claims.push(Claim {
-                word,
-                positions: Vec::new(),
-            });
-            claims.len() - 1
-        });
-        claims[ci].positions.push(p);
-        if claims[ci].positions.len() == capacity {
-            *slot = None;
-        }
-    }
+/// Splits a simulation order into claims, the units of work a campaign
+/// worker takes, given each position's inject cycle: the positions are
+/// packed by (inject cycle, position), up to `capacity` per claim. A
+/// lockstep worker gets runs of `chunk` faults in list order (all inject
+/// cycles equal); a word gets the next up to [`FAULT_LANES`] faults to arm,
+/// so it starts late when they do and can stop early once they all wash
+/// out. Each claim's positions ascend, and the claims are ordered by their
+/// first position, so one worker taking them in turn commits as early as
+/// the packing allows.
+fn plan_claims(inject_cycles: impl Iterator<Item = usize>, capacity: usize) -> Vec<Vec<usize>> {
+    let mut positions: Vec<(usize, usize)> = inject_cycles.zip(0..).collect();
+    positions.sort_unstable();
+    let mut claims: Vec<Vec<usize>> = positions
+        .chunks(capacity)
+        .map(|packed| {
+            let mut claim: Vec<usize> = packed.iter().map(|&(_, p)| p).collect();
+            claim.sort_unstable();
+            claim
+        })
+        .collect();
+    claims.sort_unstable_by_key(|claim| claim[0]);
     claims
 }
 
@@ -1833,8 +1792,7 @@ mod tests {
         let composed = Campaign::new(&env, &faults)
             .threads(2)
             .collapsing(Collapse::Dictionary)
-            .engine(Engine::Sparse)
-            .checkpoint_interval(4)
+            .engine(Engine::Ppsfp)
             .run();
         assert_eq!(baseline, composed, "collapse+accel diverges");
     }
@@ -1968,7 +1926,7 @@ mod tests {
         let baseline = Campaign::new(&env, &faults).threads(1).run();
         for (threads, engine, collapse) in [
             (1, Engine::Lockstep, Collapse::Dictionary),
-            (2, Engine::Sparse, Collapse::Off),
+            (2, Engine::Ppsfp, Collapse::Off),
             (3, Engine::Ppsfp, Collapse::Dictionary),
             (4, Engine::Auto, Collapse::Dictionary),
         ] {
@@ -2185,14 +2143,16 @@ mod tests {
                 .resolved_engine(),
             Engine::Ppsfp
         );
-        // a generated list carries bit flips and glitches → sparse
+        // a generated list carries every kind → the bit-parallel engine too
         let mixed = fault_list(&env);
-        assert!(mixed.iter().any(|f| !crate::ppsfp::batchable(f)));
+        assert!(mixed
+            .iter()
+            .any(|f| matches!(f.kind, FaultKind::BitFlip { .. })));
         assert_eq!(
             Campaign::new(&env, &mixed)
                 .engine(Engine::Auto)
                 .resolved_engine(),
-            Engine::Sparse
+            Engine::Ppsfp
         );
         // nothing to run → the cheapest prepare
         assert_eq!(
@@ -2238,80 +2198,59 @@ mod tests {
         faults
     }
 
-    /// The kernel name a fault's trace record must carry on an
-    /// accelerated engine.
-    fn expected_kernel(fault: &Fault) -> &'static str {
-        match fault.kind {
-            FaultKind::StuckAt { value, .. } if value.is_known() => "ppsfp",
-            FaultKind::Bridge { .. } | FaultKind::ClockStuck { .. } => "ppsfp",
-            FaultKind::BitFlip { .. } | FaultKind::StuckAt { .. } | FaultKind::Glitch { .. } => {
-                "sparse"
+    #[test]
+    fn claims_pack_words_by_inject_cycle_and_runs_by_chunk() {
+        // 130 faults whose inject cycles fall back to 0 every 13th
+        let inject: Vec<usize> = (0..130).map(|p| p % 13).collect();
+        let claims = plan_claims(inject.iter().copied(), FAULT_LANES);
+        let mut seen = vec![false; inject.len()];
+        let mut firsts = Vec::new();
+        let mut latest = Vec::new();
+        for claim in &claims {
+            assert!(claim.len() <= FAULT_LANES);
+            assert!(claim.windows(2).all(|w| w[0] < w[1]));
+            for &p in claim {
+                assert!(!std::mem::replace(&mut seen[p], true), "{p} claimed twice");
             }
+            firsts.push(claim[0]);
+            latest.push(claim.iter().map(|&p| inject[p]).max().unwrap());
         }
+        assert!(seen.iter().all(|&s| s), "every position claimed");
+        assert!(
+            firsts.windows(2).all(|w| w[0] < w[1]),
+            "claims by first position"
+        );
+        assert_eq!(
+            claims.iter().map(Vec::len).collect::<Vec<_>>(),
+            [FAULT_LANES, FAULT_LANES, 4]
+        );
+        // packed by inject cycle: the first word holds cycles 0..=6, with
+        // cycle 6 split at list order
+        assert_eq!(latest, [6, 12, 12]);
+        assert_eq!(claims[0].iter().filter(|&&p| inject[p] == 6).count(), 3);
+        assert_eq!(claims[0].iter().rev().find(|&&p| inject[p] == 6), Some(&32));
+        // equal inject cycles (the lockstep engine): runs of `chunk` in list
+        // order
+        let claims = plan_claims(std::iter::repeat_n(0, 10), 4);
+        assert_eq!(claims, [vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
+        // a chunk past the list length is one run
+        let claims = plan_claims(std::iter::repeat_n(0, 10), usize::MAX);
+        assert_eq!(claims, [(0..10).collect::<Vec<_>>()]);
     }
 
     #[test]
-    fn claims_pack_words_across_the_whole_order_and_runs_by_chunk() {
-        // 100 word-lane faults with a run of others after every 7th
-        let lanes: Vec<bool> = (0..130).map(|p| p % 13 >= 3).collect();
-        let (words, others): (usize, usize) = (100, 30);
-        assert_eq!(lanes.iter().filter(|&&w| w).count(), words);
-        for chunk in [1, 8, 64] {
-            let claims = plan_claims(lanes.iter().copied(), chunk);
-            let mut seen = vec![false; lanes.len()];
-            let mut firsts = Vec::new();
-            for claim in &claims {
-                assert!(claim.positions.windows(2).all(|w| w[0] < w[1]));
-                for &p in &claim.positions {
-                    assert_eq!(lanes[p], claim.word, "position {p} in the wrong claim");
-                    assert!(!std::mem::replace(&mut seen[p], true), "{p} claimed twice");
-                }
-                firsts.push(claim.positions[0]);
-            }
-            assert!(seen.iter().all(|&s| s), "every position claimed");
-            assert!(
-                firsts.windows(2).all(|w| w[0] < w[1]),
-                "claims by first position"
-            );
-            let sizes = |word: bool| -> Vec<usize> {
-                claims
-                    .iter()
-                    .filter(|c| c.word == word)
-                    .map(|c| c.positions.len())
-                    .collect()
-            };
-            assert_eq!(sizes(true), [FAULT_LANES, words - FAULT_LANES]);
-            let runs = sizes(false);
-            assert_eq!(runs.len(), others.div_ceil(chunk), "chunk {chunk}");
-            assert!(runs[..runs.len() - 1].iter().all(|&n| n == chunk));
-        }
-        // no word lanes (the lockstep engine): runs of `chunk` only
-        let claims = plan_claims(std::iter::repeat_n(false, 10), 4);
-        assert!(claims.iter().all(|c| !c.word));
-        assert_eq!(claims.len(), 3);
-        // a chunk past the list length is one run, reserved no larger
-        let claims = plan_claims(std::iter::repeat_n(false, 10), usize::MAX);
-        assert_eq!(claims.len(), 1);
-        assert_eq!(claims[0].positions.len(), 10);
-    }
-
-    #[test]
-    fn interleaved_stuck_ats_ride_words_packed_across_the_whole_list() {
+    fn every_fault_kind_rides_words_packed_by_inject_cycle() {
         let fx = Fixture::new(12);
         let env = fx.env();
         let faults = interleaved_list(&fx, &env);
         let kinds: std::collections::BTreeSet<String> =
             faults.iter().map(|f| kind_name(&f.kind)).collect();
         assert_eq!(kinds.len(), 5, "every fault kind: {kinds:?}");
-        let lane_faults = faults.iter().filter(|f| ppsfp::batchable(f)).count() as u64;
-        assert!(lane_faults > FAULT_LANES as u64, "want more than one word");
-        assert!(
-            faults.len() as u64 > lane_faults + 10,
-            "want other kinds between"
-        );
+        let n = faults.len() as u64;
+        assert!(n > FAULT_LANES as u64, "want more than one word");
         let baseline = Campaign::new(&env, &faults).run();
         for (engine, threads, chunk) in [
-            (Engine::Sparse, 1, 8),
+            (Engine::Ppsfp, 1, 8),
             (Engine::Ppsfp, 1, 1),
             (Engine::Auto, 3, 8),
             (Engine::Ppsfp, 3, 1),
@@ -2327,13 +2266,18 @@ mod tests {
             let result = campaign.run();
             obs.finish().unwrap();
             assert_eq!(baseline, result, "{setting}");
-            // one word per FAULT_LANES lane faults, however they interleave
+            // one word per FAULT_LANES faults, whatever the chunk
             assert_eq!(
                 stats.ppsfp_batches(),
-                lane_faults.div_ceil(FAULT_LANES as u64),
+                n.div_ceil(FAULT_LANES as u64),
                 "{setting}"
             );
-            assert_eq!(stats.ppsfp_lanes(), lane_faults, "{setting}");
+            assert_eq!(stats.ppsfp_lanes(), n, "{setting}");
+            assert_eq!(
+                stats.cycles_simulated() + stats.cycles_skipped(),
+                n * fx.w.len() as u64,
+                "{setting}"
+            );
             let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
             let mut records = 0;
             for line in text.lines() {
@@ -2345,7 +2289,7 @@ mod tests {
                 assert_eq!(i, records, "trace order ({setting})");
                 assert_eq!(
                     v.get("engine").unwrap().as_str(),
-                    Some(expected_kernel(&faults[i])),
+                    Some("ppsfp"),
                     "fault #{i} ({}) on {setting}",
                     faults[i].label
                 );
@@ -2361,10 +2305,7 @@ mod tests {
         let env = fx.env();
         // the crafted flips (coverage completes at #5) with ten known
         // stuck-ats after each, so a word runs far past the stopping point
-        let stuck: Vec<Fault> = exhaustive_stuck_list(&fx.nl)
-            .into_iter()
-            .filter(ppsfp::batchable)
-            .collect();
+        let stuck = exhaustive_stuck_list(&fx.nl);
         let mut faults = Vec::new();
         for (i, flip) in early_stop_list(&fx, 6).into_iter().enumerate() {
             faults.push(flip);
@@ -2376,7 +2317,7 @@ mod tests {
         let stopped = lockstep.outcomes.len();
         assert!(stopped < faults.len(), "early stop never triggered");
         assert!(lockstep.coverage.is_complete(true));
-        for (engine, threads) in [(Engine::Sparse, 1), (Engine::Ppsfp, 1), (Engine::Auto, 3)] {
+        for (engine, threads) in [(Engine::Auto, 1), (Engine::Ppsfp, 1), (Engine::Auto, 3)] {
             let campaign = Campaign::new(&env, &faults)
                 .engine(engine)
                 .threads(threads)
@@ -2385,12 +2326,8 @@ mod tests {
             let stats = campaign.stats();
             let result = campaign.run();
             assert_eq!(lockstep, result, "{engine:?} at {threads} threads");
-            let committed = faults[..stopped]
-                .iter()
-                .filter(|f| ppsfp::batchable(f))
-                .count() as u64;
             assert!(
-                stats.ppsfp_lanes() > committed,
+                stats.ppsfp_lanes() > stopped as u64,
                 "the first word reaches past the stop ({engine:?})"
             );
         }
@@ -2398,9 +2335,11 @@ mod tests {
 
     #[test]
     fn a_cancel_mid_word_leaves_a_clean_in_order_prefix() {
-        // Two flips (one run claim at chunk 2), then a word of stuck-ats
-        // over a long workload. The watcher cancels once the run is
-        // simulated, while the word is still walking its cycles.
+        // Two flips, then more than a word of stuck-ats over a long
+        // workload. Packed by inject cycle, the flips share the second word
+        // with the last stuck-ats; it opens the list, so it is claimed
+        // first. The watcher cancels once it is simulated, while the other
+        // word is still walking its cycles.
         let fx = Fixture::new(20_000);
         let env = fx.env();
         let mut faults = early_stop_list(&fx, 0)[..2].to_vec();
@@ -2430,8 +2369,8 @@ mod tests {
         assert!(stats.is_cancelled());
         let n = result.outcomes.len();
         assert!(n < faults.len(), "cancellation never truncated the run");
-        if stats.ppsfp_batches() == 0 {
-            // the word was aborted: only the run before it committed
+        if stats.ppsfp_batches() == 1 {
+            // the other word was aborted: only the flips before it committed
             assert_eq!(n, 2);
         }
         let prefix = Campaign::new(&env, &faults[..n]).run();
@@ -2478,8 +2417,8 @@ mod tests {
         let faults = fault_list(&env);
         for (engine, collapse, prune) in [
             (Engine::Lockstep, Collapse::Off, Prune::Off),
-            (Engine::Sparse, Collapse::Dictionary, Prune::Static),
-            (Engine::Ppsfp, Collapse::Off, Prune::Static),
+            (Engine::Ppsfp, Collapse::Dictionary, Prune::Static),
+            (Engine::Auto, Collapse::Off, Prune::Static),
             (Engine::Auto, Collapse::Dictionary, Prune::Off),
         ] {
             let cold = Campaign::new(&env, &faults)
@@ -2530,7 +2469,7 @@ mod tests {
             Prune::Off,
         ));
         let _ = Campaign::new(&env, &faults)
-            .engine(Engine::Sparse)
+            .engine(Engine::Ppsfp)
             .artifacts(art)
             .run();
     }
@@ -2560,31 +2499,44 @@ mod tests {
         assert!(!stats.is_cancelled());
     }
 
+    /// A trace writer that fires a cancellation token once it has written
+    /// a fault record.
+    struct CancelOnFaultRecord(Arc<AtomicBool>);
+
+    impl std::io::Write for CancelOnFaultRecord {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.windows(12).any(|w| w == br#""ev":"fault""#) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn cancellation_mid_run_keeps_a_clean_in_order_prefix() {
-        let fx = Fixture::new(256);
+        // The token fires once the trace writer has written the first fault
+        // record. A lone worker commits, and traces, each claim before it
+        // simulates the next, and the trace sink queues at most 4096
+        // records ahead of its writer, so the run blocks before it can
+        // commit the 4100th fault unless the cancel has landed: a longer
+        // list is cut short however the threads are scheduled.
+        let fx = Fixture::new(8);
         let env = fx.env();
-        // enough lockstep work that the watcher thread reliably fires
-        // mid-campaign: 48 faults x 256 cycles
-        let faults: Vec<Fault> = fault_list(&env).into_iter().cycle().take(48).collect();
+        let faults: Vec<Fault> = fault_list(&env).into_iter().cycle().take(4500).collect();
         let full = Campaign::new(&env, &faults).run();
         let token = Arc::new(AtomicBool::new(false));
+        let writer = CancelOnFaultRecord(Arc::clone(&token));
+        let obs = Observer::with_sink(socfmea_obs::TraceSink::to_writer(Box::new(writer)));
         let campaign = Campaign::new(&env, &faults)
-            .threads(2)
             .chunk(2)
-            .cancel_token(Arc::clone(&token));
+            .cancel_token(token)
+            .observe(&obs);
         let stats = campaign.stats();
-        let watcher = {
-            let (token, stats) = (Arc::clone(&token), Arc::clone(&stats));
-            std::thread::spawn(move || {
-                while stats.faults_done() == 0 && !stats.is_finished() {
-                    std::thread::yield_now();
-                }
-                token.store(true, Ordering::Relaxed);
-            })
-        };
         let result = campaign.run();
-        watcher.join().unwrap();
+        obs.finish().unwrap();
         assert!(
             result.outcomes.len() < faults.len(),
             "cancellation never truncated the run ({} outcomes)",

@@ -178,9 +178,8 @@ pub(crate) fn apply_fault(sim: &mut Simulator<'_>, fault: &Fault) -> Option<usiz
 /// cost once (via [`Simulator::clone_fresh`]). The result is a pure
 /// function of `(env, ctx, fault)` — it does not depend on what the
 /// simulator ran before, which is what makes sharded campaigns
-/// bit-identical to serial ones. Kept out of line for the same reason as
-/// the sparse path: the per-cycle loop compiles worse inlined into the
-/// campaign loop.
+/// bit-identical to serial ones. Kept out of line: the per-cycle loop
+/// compiles worse inlined into the campaign loop.
 #[inline(never)]
 pub(crate) fn simulate_scalar(
     env: &Environment<'_>,

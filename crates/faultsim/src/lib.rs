@@ -31,15 +31,12 @@
 //!   are bit-identical for any thread count,
 //!   with live progress counters ([`CampaignStats`]) and optional early
 //!   stop on coverage saturation. `Campaign::engine(Engine::…)` selects the
-//!   execution strategy — the accelerated engines ([`Engine::Sparse`],
-//!   [`Engine::Ppsfp`], and [`Engine::Auto`], which resolves to one of
-//!   them) route each fault by kind: known-value stuck-ats, bridges and
-//!   clock outages into the 63 fault lanes of the word-level simulator next
-//!   to the golden machine in lane 0, bit flips, glitches and `X`
-//!   stuck-ats onto the divergence-set kernel from `socfmea-accel`. Every
-//!   engine runs over the campaign's one golden trace and yields the same
-//!   bit-identical result as the [`Engine::Lockstep`] reference, in far
-//!   fewer evaluated cycles,
+//!   execution strategy — the accelerated engine ([`Engine::Ppsfp`], and
+//!   [`Engine::Auto`], which resolves to it) packs faults of every kind
+//!   into the 63 fault lanes of the word-level simulator next to the golden
+//!   machine in lane 0. Every engine runs over the campaign's one golden
+//!   trace and yields the same bit-identical result as the
+//!   [`Engine::Lockstep`] reference, in far fewer evaluated cycles,
 //! * [`monitors`] — **Monitors and Coverage Collection**: the one
 //!   SENS/OBSE/output/alarm monitor oracle every engine reports to, and
 //!   the SENS/OBSE/DIAG coverage items; the campaign is complete only when

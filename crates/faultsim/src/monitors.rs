@@ -9,10 +9,9 @@
 //! consider complete the fault injection experiment" (paper §5).
 //!
 //! Every engine observes its faults through one `MonitorOracle`, built
-//! once per campaign: the lockstep engine feeds it one lane per fault, the
-//! sparse engine feeds it its divergence set, and PPSFP feeds it the
-//! per-lane masks of a whole word — only the lanes it has not reported for
-//! a net before. The per-fault readings it fills are classified by one
+//! once per campaign: the lockstep engine feeds it one lane per fault, and
+//! PPSFP feeds it the per-lane masks of a whole word — only the lanes it
+//! has not reported for a net before. The per-fault readings it fills are classified by one
 //! shared tail, so every engine reaches the same
 //! [`FaultOutcome`](crate::FaultOutcome) for the same fault.
 

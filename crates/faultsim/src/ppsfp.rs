@@ -7,51 +7,39 @@
 //! walk is paid **once per workload cycle for up to 63 faults**, instead of
 //! once per cycle per fault. The monitors need no word-level copy: each
 //! cycle, every monitored net and every lane's target net is reported to
-//! the shared [`MonitorOracle`] as two lane masks — `diff_mask` where the
-//! golden lane is known, and `one_mask` where the golden lane is not `1` —
-//! and of those only the lanes not yet reported for that net.
+//! the shared [`MonitorOracle`](crate::monitors::MonitorOracle) as two lane
+//! masks — `diff_mask` where the golden lane is known, and `one_mask` where
+//! the golden lane is not `1` — and of those only the lanes not yet
+//! reported for that net.
 //!
-//! Three fault kinds ride lanes, each through its [`WordSim`] hook, armed at
-//! the fault's inject cycle at the point where the lockstep engine calls
-//! `apply_fault`: a known-value stuck-at pins its net, a bridge couples its
-//! victim, a clock outage holds the lane's flip-flops for its cycles. Lane
-//! *i* of a batch therefore evolves bit-for-bit like a scalar
+//! Every fault kind rides a lane through its [`WordSim`] hook, armed at the
+//! fault's inject cycle at the point where the lockstep engine calls
+//! `apply_fault`: a stuck-at pins its net (`X` included), a glitch pins it
+//! for one cycle, a bit flip inverts the lane's flip-flop, a bridge couples
+//! its victim, a clock outage holds the lane's flip-flops for its cycles.
+//! Lane *i* of a batch therefore evolves bit-for-bit like a scalar
 //! [`Simulator`](socfmea_sim::Simulator) carrying the same fault, so the
 //! per-lane readings fed through [`finalize_outcome`] are
 //! **bit-identical** to the lockstep engine's [`FaultOutcome`]s — the
 //! property `tests/ppsfp_differential.rs` and `tests/prop_routing.rs`
 //! assert.
 //!
-//! Both accelerated engines ([`Engine::Sparse`](crate::Engine::Sparse) and
-//! [`Engine::Ppsfp`](crate::Engine::Ppsfp)) put every lane fault on a lane,
-//! and pack the words across the whole fault list: each word takes the
-//! next up to [`FAULT_LANES`] lane faults in list order, however the other
-//! kinds fall between them. Those other kinds (bit flips, glitches and `X`
-//! stuck-ats) run one by one on the sparse kernel ([`accel`](crate::accel)).
+//! A word skips what its faulty runs share with the golden run at both
+//! ends. Before the earliest inject cycle every lane is golden, so the word
+//! starts from the golden trace's row there. Once its last lane has armed,
+//! the word stops as soon as [`WordSim::converged`] says every lane has
+//! fallen back onto lane 0 for good: no later cycle can fire a monitor.
+//! The campaign packs words by inject cycle, so the lanes of a word arm
+//! close together.
 
-use crate::accel::cancel_fired;
+use crate::accel::{cancel_fired, ExecContext};
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
 use crate::inject::{finalize_outcome, target_net, FaultOutcome};
-use crate::monitors::{MonitorOracle, Readings};
+use crate::monitors::Readings;
 use socfmea_netlist::NetId;
 use socfmea_sim::{WordSim, FAULT_LANES};
-
-/// True for a stuck-at with a known (`0`/`1`) value. `Engine::Auto`
-/// resolves to `Engine::Ppsfp` iff every fault satisfies this.
-pub(crate) fn known_stuck_at(fault: &Fault) -> bool {
-    matches!(fault.kind, FaultKind::StuckAt { value, .. } if value.is_known())
-}
-
-/// True when a fault can ride a PPSFP word lane: a known-value stuck-at, a
-/// bridge or a clock outage.
-pub(crate) fn batchable(fault: &Fault) -> bool {
-    known_stuck_at(fault)
-        || matches!(
-            fault.kind,
-            FaultKind::Bridge { .. } | FaultKind::ClockStuck { .. }
-        )
-}
+use std::sync::atomic::AtomicBool;
 
 /// Arms `fault`'s hook on word lane `lane` if `cycle` is one where the
 /// lockstep engine changes it: the inject cycle, and for a clock outage
@@ -60,6 +48,8 @@ fn arm(word: &mut WordSim<'_>, lane: usize, fault: &Fault, cycle: usize) {
     let since = cycle.checked_sub(fault.inject_cycle);
     match fault.kind {
         FaultKind::StuckAt { net, value } if since == Some(0) => word.force_lane(net, lane, value),
+        FaultKind::Glitch { net, value } if since == Some(0) => word.pulse_lane(net, lane, value),
+        FaultKind::BitFlip { dff } if since == Some(0) => word.flip_lane(dff, lane),
         FaultKind::Bridge {
             aggressor,
             victim,
@@ -75,40 +65,34 @@ fn arm(word: &mut WordSim<'_>, lane: usize, fault: &Fault, cycle: usize) {
     }
 }
 
-/// Simulates one batch of up to [`FAULT_LANES`] lane faults against the
-/// shared workload, returning one [`FaultOutcome`] per fault in batch
-/// order.
+/// Simulates one batch of up to [`FAULT_LANES`] faults against the shared
+/// workload, returning one [`FaultOutcome`] per fault in batch order and
+/// the number of cycles the word evaluated.
 ///
-/// `word` is reused across batches: the function resets it to power-on
-/// (clearing previous lane faults) first, so a campaign worker pays
+/// `word` is reused across batches: the function loads it from the golden
+/// trace (clearing previous lane faults) first, so a campaign worker pays
 /// levelization once. The result is a pure function of `(env, batch)`.
 ///
 /// # Panics
 ///
-/// Panics if the batch is empty, exceeds [`FAULT_LANES`], or contains a
-/// non-[`batchable`] fault.
+/// Panics if the batch is empty or exceeds [`FAULT_LANES`].
 pub(crate) fn simulate_batch(
     env: &Environment<'_>,
-    oracle: &MonitorOracle,
+    ctx: &ExecContext,
     word: &mut WordSim<'_>,
     batch: &[(usize, &Fault)],
-    cancel: Option<&std::sync::atomic::AtomicBool>,
-) -> Vec<FaultOutcome> {
+    cancel: Option<&AtomicBool>,
+) -> (Vec<FaultOutcome>, u64) {
     assert!(
         !batch.is_empty() && batch.len() <= FAULT_LANES,
         "a PPSFP batch holds 1..={FAULT_LANES} faults, got {}",
         batch.len()
     );
-    assert!(
-        batch.iter().all(|&(_, f)| batchable(f)),
-        "PPSFP batches hold known-value stuck-ats, bridges and clock outages only"
-    );
-    word.reset_to_power_on();
     // Oracle lane `i` is word lane `i + 1`; word lanes past the batch stay
     // golden copies, but are masked off anyway.
     let mut lanes: Vec<Readings> = batch.iter().map(|&(_, f)| Readings::new(f)).collect();
     let live = u64::MAX >> (64 - batch.len());
-    let mut watched: Vec<NetId> = oracle.monitored().to_vec();
+    let mut watched: Vec<NetId> = ctx.oracle.monitored().to_vec();
     watched.extend(batch.iter().filter_map(|&(_, f)| target_net(f)));
     watched.sort_unstable();
     watched.dedup();
@@ -116,18 +100,30 @@ pub(crate) fn simulate_batch(
     // oracle has already seen. Every reading it keeps is a flag, a set
     // insert or a first cycle, so a repeat report would change nothing.
     let mut reported = vec![(0u64, 0u64); watched.len()];
+    // Every lane is golden before the first arming, and nothing is armed
+    // after the last one.
+    let inject = || batch.iter().map(|&(_, f)| f.inject_cycle);
+    let (start, settle) = (inject().min().unwrap_or(0), inject().max().unwrap_or(0));
+    if start < env.workload.len() {
+        word.load_golden(start as u64, ctx.trace.row(start));
+    }
+    let mut simulated = 0;
 
-    for (cycle, inputs) in env.workload.iter().enumerate() {
+    for (cycle, inputs) in env.workload.iter().enumerate().skip(start) {
         if cancel_fired(cancel) {
             break;
         }
         for &(n, v) in inputs {
             word.set(n, v);
         }
+        if cycle > settle && word.converged() {
+            break;
+        }
         for (li, &(_, fault)) in batch.iter().enumerate() {
             arm(word, li + 1, fault, cycle);
         }
         word.eval();
+        simulated += 1;
         for (&net, (seen_diverged, seen_asserted)) in watched.iter().zip(&mut reported) {
             let diverged = if word.golden_known(net) {
                 (word.diff_mask(net) >> 1) & live
@@ -140,24 +136,25 @@ pub(crate) fn simulate_batch(
                 (diverged & !*seen_diverged, asserted & !*seen_asserted);
             *seen_diverged |= diverged;
             *seen_asserted |= asserted;
-            oracle.observe(&mut lanes, cycle, net, new_diverged, new_asserted);
+            ctx.oracle
+                .observe(&mut lanes, cycle, net, new_diverged, new_asserted);
         }
         word.tick();
     }
 
-    batch
+    let outcomes = batch
         .iter()
         .zip(lanes)
         .map(|(&(fault_index, fault), readings)| {
             finalize_outcome(env, fault, fault_index, readings)
         })
-        .collect()
+        .collect();
+    (outcomes, simulated)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accel::ExecContext;
     use crate::env::EnvironmentBuilder;
     use crate::inject::simulate_scalar;
     use socfmea_core::extract::{extract_zones, ExtractConfig};
@@ -235,7 +232,7 @@ mod tests {
             .collect::<Vec<_>>()
             .chunks(FAULT_LANES)
         {
-            let got = simulate_batch(&env, &ctx.oracle, &mut word, chunk, None);
+            let (got, _) = simulate_batch(&env, &ctx, &mut word, chunk, None);
             for (&(fi, fault), fo) in chunk.iter().zip(&got) {
                 let (want, _) = simulate_scalar(&env, &ctx, &mut sim, fi, fault, None);
                 assert_eq!(&want, fo, "fault #{fi} ({}) diverges", fault.label);
@@ -243,8 +240,27 @@ mod tests {
         }
     }
 
+    /// Runs `faults` as one word and asserts each lane against the
+    /// lockstep engine; returns the cycles the word evaluated.
+    fn assert_one_word_equals_lockstep(
+        env: &Environment<'_>,
+        nl: &socfmea_netlist::Netlist,
+        faults: &[Fault],
+    ) -> u64 {
+        let ctx = ExecContext::prepare(env, faults, 16);
+        let mut sim = Simulator::new(nl).unwrap();
+        let mut word = WordSim::new(nl).unwrap();
+        let batch: Vec<(usize, &Fault)> = faults.iter().enumerate().collect();
+        let (got, simulated) = simulate_batch(env, &ctx, &mut word, &batch, None);
+        for (&(fi, fault), fo) in batch.iter().zip(&got) {
+            let (want, _) = simulate_scalar(env, &ctx, &mut sim, fi, fault, None);
+            assert_eq!(&want, fo, "fault #{fi} ({}) diverges", fault.label);
+        }
+        simulated
+    }
+
     #[test]
-    fn bridges_and_a_clock_outage_armed_mid_word_equal_the_lockstep_engine() {
+    fn every_fault_kind_armed_mid_word_equals_the_lockstep_engine() {
         let nl = protected_design();
         let zones = extract_zones(&nl, &ExtractConfig::default());
         let w = workload(&nl, 12);
@@ -252,45 +268,81 @@ mod tests {
             .alarms_matching("alarm_")
             .build();
         let data = |i: usize| nl.net_by_name(&format!("data[{i}]")).unwrap();
+        let fault = |kind, inject_cycle, label: &str| Fault {
+            kind,
+            zone: None,
+            inject_cycle,
+            label: label.into(),
+        };
         let mut faults: Vec<Fault> = stuck_list(&nl)
             .into_iter()
             .map(|mut f| {
                 f.inject_cycle += 7;
                 f
             })
-            .take(FAULT_LANES - 4)
+            .take(FAULT_LANES - 16)
             .collect();
         for (k, kind) in [BridgeKind::And, BridgeKind::Or, BridgeKind::Dominant]
             .into_iter()
             .enumerate()
         {
-            faults.push(Fault {
-                kind: FaultKind::Bridge {
-                    aggressor: data(k),
-                    victim: data(k + 1),
-                    kind,
+            let bridge = FaultKind::Bridge {
+                aggressor: data(k),
+                victim: data(k + 1),
+                kind,
+            };
+            faults.push(fault(bridge, 9 + k, "bridge"));
+        }
+        faults.push(fault(
+            FaultKind::ClockStuck { cycles: 2 },
+            8,
+            "clock outage",
+        ));
+        for k in 0..4 {
+            let flip = FaultKind::BitFlip {
+                dff: socfmea_netlist::DffId::from_index(k),
+            };
+            faults.push(fault(flip, 7 + k, "flip"));
+            let value = Logic::from_bool(k % 2 == 0);
+            faults.push(fault(
+                FaultKind::Glitch {
+                    net: data(k),
+                    value,
+                },
+                8 + k,
+                "glitch",
+            ));
+            let stuck_x = FaultKind::StuckAt {
+                net: data(k),
+                value: Logic::X,
+            };
+            faults.push(fault(stuck_x, 7 + k, "X stuck-at"));
+        }
+        assert_eq!(faults.len(), FAULT_LANES, "one full word");
+        assert_one_word_equals_lockstep(&env, &nl, &faults);
+    }
+
+    #[test]
+    fn a_word_of_late_flips_starts_at_the_first_and_stops_once_they_wash_out() {
+        let nl = protected_design();
+        let zones = extract_zones(&nl, &ExtractConfig::default());
+        let w = workload(&nl, 12);
+        let env = EnvironmentBuilder::new(&nl, &zones, &w)
+            .alarms_matching("alarm_")
+            .build();
+        // the data register reloads every cycle: a flip is gone one clock
+        // edge later, so the word runs cycles 7 and 8 only
+        let faults: Vec<Fault> = (0..8)
+            .map(|k| Fault {
+                kind: FaultKind::BitFlip {
+                    dff: socfmea_netlist::DffId::from_index(k % 4),
                 },
                 zone: None,
-                inject_cycle: 9 + k,
-                label: format!("bridge {kind:?}"),
-            });
-        }
-        faults.push(Fault {
-            kind: FaultKind::ClockStuck { cycles: 2 },
-            zone: None,
-            inject_cycle: 8,
-            label: "clock outage".into(),
-        });
-        let ctx = ExecContext::prepare(&env, &faults, 16);
-        let mut sim = Simulator::new(&nl).unwrap();
-        let mut word = WordSim::new(&nl).unwrap();
-        let batch: Vec<(usize, &Fault)> = faults.iter().enumerate().collect();
-        assert_eq!(batch.len(), FAULT_LANES, "one full word");
-        let got = simulate_batch(&env, &ctx.oracle, &mut word, &batch, None);
-        for (&(fi, fault), fo) in batch.iter().zip(&got) {
-            let (want, _) = simulate_scalar(&env, &ctx, &mut sim, fi, fault, None);
-            assert_eq!(&want, fo, "fault #{fi} ({}) diverges", fault.label);
-        }
+                inject_cycle: 7 + k % 2,
+                label: format!("flip #{k}"),
+            })
+            .collect();
+        assert_eq!(assert_one_word_equals_lockstep(&env, &nl, &faults), 2);
     }
 
     #[test]
@@ -310,47 +362,11 @@ mod tests {
             inject_cycle: 99,
             label: "never fires".into(),
         };
-        let oracle = MonitorOracle::new(&env);
+        let ctx = ExecContext::prepare(&env, std::slice::from_ref(&fault), 16);
         let mut word = WordSim::new(&nl).unwrap();
-        let got = simulate_batch(&env, &oracle, &mut word, &[(0, &fault)], None);
+        let (got, simulated) = simulate_batch(&env, &ctx, &mut word, &[(0, &fault)], None);
         assert_eq!(got[0].outcome, crate::inject::Outcome::NoEffect);
         assert!(!got[0].sens_triggered);
-    }
-
-    #[test]
-    fn batchable_accepts_known_stuck_ats_bridges_and_clock_outages() {
-        let net = NetId::from_index(0);
-        let fault = |kind| Fault {
-            kind,
-            zone: None,
-            inject_cycle: 0,
-            label: "f".into(),
-        };
-        let stuck = |value| fault(FaultKind::StuckAt { net, value });
-        for value in [Logic::Zero, Logic::One] {
-            assert!(known_stuck_at(&stuck(value)));
-            assert!(batchable(&stuck(value)));
-        }
-        assert!(!batchable(&stuck(Logic::X)));
-        let bridge = fault(FaultKind::Bridge {
-            aggressor: net,
-            victim: NetId::from_index(1),
-            kind: BridgeKind::And,
-        });
-        let outage = fault(FaultKind::ClockStuck { cycles: 2 });
-        for lane in [&bridge, &outage] {
-            assert!(batchable(lane));
-            assert!(!known_stuck_at(lane));
-        }
-        let glitch = fault(FaultKind::Glitch {
-            net,
-            value: Logic::One,
-        });
-        let flip = fault(FaultKind::BitFlip {
-            dff: socfmea_netlist::DffId(0),
-        });
-        for other in [&glitch, &flip] {
-            assert!(!batchable(other));
-        }
+        assert_eq!(simulated, 0);
     }
 }

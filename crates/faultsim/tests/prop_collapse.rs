@@ -2,7 +2,7 @@
 //! designs, workloads and fault lists, `Collapse::Dictionary` produces the
 //! bit-identical `CampaignResult` (outcomes *and* coverage collection) as
 //! the uncollapsed baseline, at every thread count, composed with every
-//! engine (lockstep, sparse, and whatever `Engine::Auto` resolves to).
+//! engine (lockstep, PPSFP, and whatever `Engine::Auto` resolves to).
 //!
 //! This is the contract that makes `--collapse` safe to reach for:
 //! equivalence collapsing and fault-dictionary back-annotation are pure
@@ -83,7 +83,7 @@ proptest! {
         for (collapse_threads, engine) in [
             (1usize, Engine::Lockstep),
             (threads, Engine::Lockstep),
-            (threads, Engine::Sparse),
+            (threads, Engine::Ppsfp),
             (threads, Engine::Auto),
         ] {
             let collapsed = Campaign::new(&env, &faults)

@@ -1,18 +1,20 @@
-//! Property test: routing each fault to its kernel is exact. For arbitrary
-//! synthetic designs, workloads with whole cycles of unknowns, and one
-//! fault list carrying all five fault kinds, every accelerated setting —
-//! `Auto`/`Sparse`/`Ppsfp` × 1 or 3 threads × chunk 1 or 8 × collapse off
-//! or on — produces the bit-identical `CampaignResult` (outcomes *and*
-//! coverage collection) of the lockstep engine.
+//! Property test: running every fault on PPSFP word lanes is exact. For
+//! arbitrary synthetic designs and workloads with whole cycles of unknowns,
+//! every accelerated setting — `Auto`/`Ppsfp` × 1 or 3 threads × collapse
+//! off or on — produces the bit-identical `CampaignResult` (outcomes *and*
+//! coverage collection) of the lockstep engine, on three fault lists: a
+//! generated one, one of bit flips and glitches only, and one carrying all
+//! five fault kinds interleaved.
 //!
-//! Inside one campaign, the known-value stuck-ats, bridges and clock
-//! outages ride PPSFP words packed across the whole list, and the bit
-//! flips, glitches and `X` stuck-ats run on the sparse kernel; the merge
-//! commits them all in fault-list order. The bridges couple onto gate
-//! outputs (one through a feedback path), a flip-flop output and a primary
-//! input; the clock outages last 0 and 2 cycles, one past the workload's
-//! end. The list ends in a run of late lane faults, so whole words run
-//! golden for several cycles before their lanes arm.
+//! The words are packed by inject cycle, and the merge commits them in
+//! fault-list order. A word starts from the golden row at its first inject
+//! cycle and stops once every lane has re-converged with the golden lane,
+//! which the words of flips and glitches do. In the interleaved list the
+//! bridges
+//! couple onto gate outputs (one through a feedback path), a flip-flop
+//! output and a primary input; the clock outages last 0 and 2 cycles, one
+//! past the workload's end; and the list ends in a run of late faults of
+//! every kind, so whole words start well into the workload.
 
 use proptest::prelude::*;
 use socfmea_core::{extract_zones, ExtractConfig, ZoneSet};
@@ -20,12 +22,12 @@ use socfmea_faultsim::{
     generate_fault_list, Campaign, Collapse, Engine, Environment, EnvironmentBuilder, Fault,
     FaultKind, FaultListConfig, OperationalProfile,
 };
-use socfmea_netlist::{Driver, Logic, NetId, Netlist};
+use socfmea_netlist::{DffId, Driver, Logic, NetId, Netlist};
 use socfmea_rtl::gen;
 use socfmea_sim::{assign_bus, BridgeKind, Workload, FAULT_LANES};
 
 proptest! {
-    // each case runs 24 campaigns over a list of a few hundred faults;
+    // each case runs 24 campaigns over lists of up to a few hundred faults;
     // keep the count low and the designs small
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -39,24 +41,27 @@ proptest! {
         let w = workload(&nl, stimulus);
         let zones = extract_zones(&nl, &ExtractConfig::default());
         let env = environment(&nl, &zones, &w);
-        let faults = every_kind_list(&env, seed);
-        prop_assume!(!faults.is_empty());
+        let lists = [
+            ("generated", generated_list(&env, seed)),
+            ("transients", transient_list(&nl)),
+            ("every kind", every_kind_list(&env, seed)),
+        ];
+        prop_assume!(lists.iter().all(|(_, faults)| !faults.is_empty()));
 
-        let baseline = Campaign::new(&env, &faults).threads(1).run();
-        for engine in [Engine::Auto, Engine::Sparse, Engine::Ppsfp] {
-            for threads in [1usize, 3] {
-                for chunk in [1usize, 8] {
+        for (list, faults) in &lists {
+            let baseline = Campaign::new(&env, faults).threads(1).run();
+            for engine in [Engine::Auto, Engine::Ppsfp] {
+                for threads in [1usize, 3] {
                     for collapse in [Collapse::Off, Collapse::Dictionary] {
-                        let routed = Campaign::new(&env, &faults)
+                        let routed = Campaign::new(&env, faults)
                             .engine(engine)
                             .threads(threads)
-                            .chunk(chunk)
                             .collapsing(collapse)
                             .run();
                         prop_assert_eq!(
                             &baseline, &routed,
-                            "{:?}, {} threads, chunk {}, {:?} diverges from lockstep",
-                            engine, threads, chunk, collapse
+                            "{} list: {:?}, {} threads, {:?} diverges from lockstep",
+                            list, engine, threads, collapse
                         );
                     }
                 }
@@ -98,11 +103,61 @@ fn environment<'a>(nl: &'a Netlist, zones: &'a ZoneSet, w: &'a Workload) -> Envi
         .build()
 }
 
+/// A generated mixed list: one bit flip and one stuck-at pair per zone, two
+/// wide faults, and the default local glitches, bridges and clock outage.
+fn generated_list(env: &Environment<'_>, seed: u64) -> Vec<Fault> {
+    let profile = OperationalProfile::collect(env);
+    generate_fault_list(
+        env,
+        &profile,
+        &FaultListConfig {
+            bitflips_per_zone: 1,
+            stuckats_per_zone: 1,
+            wide_faults: 2,
+            seed,
+            ..FaultListConfig::default()
+        },
+    )
+}
+
+/// Every net some gate, flip-flop or primary input drives.
+fn driven_nets(nl: &Netlist) -> Vec<NetId> {
+    (0..nl.net_count())
+        .map(NetId::from_index)
+        .filter(|&n| !matches!(nl.net(n).driver, Driver::None | Driver::Const(_)))
+        .collect()
+}
+
+/// Two words of bit flips and glitches (on any driven net) at inject
+/// cycles 0..=7: words whose lanes wash out before the workload ends.
+fn transient_list(nl: &Netlist) -> Vec<Fault> {
+    let driven = driven_nets(nl);
+    (0..2 * FAULT_LANES)
+        .map(|k| {
+            let kind = if k % 2 == 0 {
+                FaultKind::BitFlip {
+                    dff: DffId::from_index(k / 2 % nl.dff_count()),
+                }
+            } else {
+                FaultKind::Glitch {
+                    net: driven[k * 5 % driven.len()],
+                    value: Logic::from_bool(k % 4 == 1),
+                }
+            };
+            Fault {
+                kind,
+                zone: None,
+                inject_cycle: k % 8,
+                label: format!("transient #{k}"),
+            }
+        })
+        .collect()
+}
+
 /// The generated mixed list with both stuck-at polarities on every driven
 /// net woven between its faults (every seventh stuck at `X`), bridges of
-/// every kind and clock outages placed mid-list, and a closing run of lane
-/// faults that all activate at cycle 6 or later: every fault kind, every
-/// kernel, interleaved.
+/// every kind and clock outages placed mid-list, and a closing run of
+/// faults of every kind that all activate at cycle 6 or later.
 fn every_kind_list(env: &Environment<'_>, seed: u64) -> Vec<Fault> {
     let nl = env.netlist;
     let profile = OperationalProfile::collect(env);
@@ -118,10 +173,7 @@ fn every_kind_list(env: &Environment<'_>, seed: u64) -> Vec<Fault> {
             ..FaultListConfig::default()
         },
     );
-    let driven: Vec<NetId> = (0..nl.net_count())
-        .map(NetId::from_index)
-        .filter(|&n| !matches!(nl.net(n).driver, Driver::None | Driver::Const(_)))
-        .collect();
+    let driven = driven_nets(nl);
     let of_driver = |pick: fn(&Driver) -> bool| -> Vec<NetId> {
         driven
             .iter()
@@ -189,10 +241,13 @@ fn every_kind_list(env: &Environment<'_>, seed: u64) -> Vec<Fault> {
         let at = faults.len() * (i + 1) / 9;
         faults.insert(at, fault(kind, inject, format!("wide #{i}")));
     }
-    // more than two words of lane faults activating at cycle 6..=11, so
-    // at least one whole word arms all its lanes mid-run
+    // more than two words of faults activating at cycle 6..=11, so at
+    // least one whole word starts mid-run; bit flips and glitches (on any
+    // driven net, primary inputs included) among them
+    let dffs = nl.dff_count();
     for k in 0..2 * FAULT_LANES + 1 {
         let inject = 6 + k % 6;
+        let site = driven[(k * 7) % driven.len()];
         faults.push(match k % 21 {
             5 => fault(
                 bridge(
@@ -207,6 +262,21 @@ fn every_kind_list(env: &Environment<'_>, seed: u64) -> Vec<Fault> {
                 FaultKind::ClockStuck { cycles: 1 },
                 inject,
                 format!("late clock outage #{k}"),
+            ),
+            _ if k % 3 == 1 => fault(
+                FaultKind::BitFlip {
+                    dff: DffId::from_index(k % dffs),
+                },
+                inject,
+                format!("late flip #{k}"),
+            ),
+            _ if k % 3 == 2 => fault(
+                FaultKind::Glitch {
+                    net: site,
+                    value: Logic::from_bool(k % 4 < 2),
+                },
+                inject,
+                format!("late glitch #{k}"),
             ),
             _ => {
                 let (net, value, inject, label) = stuck(k, inject);

@@ -479,7 +479,7 @@ mod tests {
             threads: 1,
             cycles: 4,
             seed: 0,
-            accel: false,
+            engine: "lockstep",
             collapse: false,
         });
         {

@@ -494,6 +494,8 @@ mod tests {
         .to_string()
     }
 
+    /// A schema-1 trace (`accel` in `meta`, `sparse` fault records): the
+    /// summary reads it as it reads schema 2.
     fn sample_trace() -> String {
         let mut lines = vec![
             r#"{"ev":"meta","schema":1,"design":"prot","faults":4,"threads":1,"cycles":24,"seed":7,"accel":false,"collapse":false}"#.to_string(),

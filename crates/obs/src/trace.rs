@@ -19,6 +19,11 @@
 //! `fault` records are emitted at *commit* time by the campaign's
 //! deterministic merge, so their order in the file is fault-list order for
 //! any thread count; only `shard` and `nanos` are wall-clock-dependent.
+//!
+//! Schema 2 names the resolved campaign engine in `meta` (`"engine"`,
+//! `lockstep` or `ppsfp`), where schema 1 had a boolean `accel`. Readers
+//! (`trace summarize|flame|diff`) take either: none of them reads either
+//! field.
 
 use crate::chan::{bounded, Receiver, Sender};
 use crate::json::Value;
@@ -29,7 +34,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Version tag written into every `meta` record.
-pub const TRACE_SCHEMA_VERSION: i64 = 1;
+pub const TRACE_SCHEMA_VERSION: i64 = 2;
 
 /// One per-fault trace record — the evidence row behind a DC/SFF claim.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,9 +62,10 @@ pub struct FaultRecord {
     pub cycles_simulated: u64,
     /// Cycles answered from the golden trace without evaluation.
     pub cycles_skipped: u64,
-    /// Engine path that classified it: `lockstep`, `sparse`, `warm`,
-    /// `ppsfp`, `dictionary` (collapse back-annotation, no simulation) or
-    /// `pruned` (static undetectability proof, no simulation).
+    /// Engine path that classified it: `lockstep`, `ppsfp`, `dictionary`
+    /// (collapse back-annotation, no simulation) or `pruned` (static
+    /// undetectability proof, no simulation). Schema-1 traces also carry
+    /// `sparse` and `warm`, two retired kernels.
     pub engine: &'static str,
     /// Representative fault index when dictionary-annotated, else `None`
     /// (the collapse class is `rep` + every fault pointing at it).
@@ -85,8 +91,8 @@ pub enum TraceEvent {
         cycles: u64,
         /// Sampling seed.
         seed: u64,
-        /// Whether the checkpointed incremental engine is on.
-        accel: bool,
+        /// The resolved campaign engine: `lockstep` or `ppsfp`.
+        engine: &'static str,
         /// Whether fault collapsing is on.
         collapse: bool,
     },
@@ -147,7 +153,7 @@ impl TraceEvent {
                 threads,
                 cycles,
                 seed,
-                accel,
+                engine,
                 collapse,
             } => Value::obj(vec![
                 ("ev", Value::Str("meta".into())),
@@ -157,7 +163,7 @@ impl TraceEvent {
                 ("threads", Value::uint(*threads)),
                 ("cycles", Value::uint(*cycles)),
                 ("seed", Value::uint(*seed)),
-                ("accel", Value::Bool(*accel)),
+                ("engine", Value::Str((*engine).into())),
                 ("collapse", Value::Bool(*collapse)),
             ]),
             TraceEvent::Fault(r) => Value::obj(vec![
@@ -514,7 +520,7 @@ mod tests {
             alarm_cycle: Some(4),
             cycles_simulated: 21,
             cycles_skipped: 3,
-            engine: "sparse",
+            engine: "ppsfp",
             rep: None,
             shard: Some(0),
             nanos: 1234,
@@ -530,7 +536,7 @@ mod tests {
                 threads: 2,
                 cycles: 24,
                 seed: 7,
-                accel: true,
+                engine: "ppsfp",
                 collapse: false,
             },
             TraceEvent::Fault(sample_fault(0)),
@@ -594,7 +600,7 @@ mod tests {
         assert_eq!(v.get("outcome").unwrap().as_str(), Some("DD"));
         assert_eq!(v.get("sim").unwrap().as_u64(), Some(21));
         assert_eq!(v.get("skip").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("engine").unwrap().as_str(), Some("sparse"));
+        assert_eq!(v.get("engine").unwrap().as_str(), Some("ppsfp"));
         assert!(v.get("rep").unwrap().is_null());
         assert_eq!(v.get("shard").unwrap().as_u64(), Some(0));
     }

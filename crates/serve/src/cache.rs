@@ -100,8 +100,7 @@ fn spec_key(spec: &JobSpec) -> SpecKey {
         match spec.engine {
             Engine::Auto => 0,
             Engine::Lockstep => 1,
-            Engine::Sparse => 2,
-            Engine::Ppsfp => 3,
+            Engine::Ppsfp => 2,
         },
         u8::from(spec.collapse == Collapse::Dictionary),
         u8::from(spec.prune == Prune::Static),

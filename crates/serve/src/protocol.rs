@@ -112,9 +112,8 @@ impl JobSpec {
             Some(v) => match v.as_str() {
                 Some("auto") => Engine::Auto,
                 Some("lockstep") => Engine::Lockstep,
-                Some("sparse") => Engine::Sparse,
                 Some("ppsfp") => Engine::Ppsfp,
-                _ => return Err("`engine` must be auto|lockstep|sparse|ppsfp".into()),
+                _ => return Err("`engine` must be auto|lockstep|ppsfp".into()),
             },
         };
         let cycles = uint("cycles", 48)? as usize;
@@ -151,7 +150,6 @@ impl JobSpec {
         let engine = match self.engine {
             Engine::Auto => "auto",
             Engine::Lockstep => "lockstep",
-            Engine::Sparse => "sparse",
             Engine::Ppsfp => "ppsfp",
         };
         let (dkey, dval) = match &self.design {
@@ -210,7 +208,7 @@ mod tests {
             seed: 7,
             cycles: 24,
             threads: 3,
-            engine: Engine::Sparse,
+            engine: Engine::Ppsfp,
             checkpoint_interval: 8,
             collapse: Collapse::Dictionary,
             prune: Prune::Static,
@@ -227,6 +225,7 @@ mod tests {
         assert!(err(r#"{"example":"fmem","verilog":"m"}"#).contains("exactly one"));
         assert!(err(r#"{"example":"fmem","cycles":0}"#).contains("at least 1"));
         assert!(err(r#"{"example":"fmem","engine":"warp"}"#).contains("engine"));
+        assert!(err(r#"{"example":"fmem","engine":"sparse"}"#).contains("engine"));
         assert!(err(r#"{"example":"fmem","seed":-4}"#).contains("seed"));
         assert!(err(r#"{"example":"fmem","collapse":"yes"}"#).contains("boolean"));
         assert!(err(r#"{"example":"fmem","tenant":""}"#).contains("tenant"));

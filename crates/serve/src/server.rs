@@ -576,7 +576,7 @@ fn normalize_event(ev: TraceEvent) -> Option<TraceEvent> {
             threads: _,
             cycles,
             seed,
-            accel,
+            engine,
             collapse,
         } => Some(TraceEvent::Meta {
             design,
@@ -584,7 +584,7 @@ fn normalize_event(ev: TraceEvent) -> Option<TraceEvent> {
             threads: 0,
             cycles,
             seed,
-            accel,
+            engine,
             collapse,
         }),
     }

@@ -40,19 +40,30 @@
 //!
 //! - [`WordSim::force_lane`] (stuck-at, [`Simulator::force`]): a per-net pin
 //!   mask overrides the lane at every source load and gate-output write.
+//! - [`WordSim::pulse_lane`] (glitch, [`Simulator::pulse`]): the same pin,
+//!   lifted at the next [`tick`](WordSim::tick).
+//! - [`WordSim::flip_lane`] (bit flip, [`Simulator::flip_ff`]): the lane's
+//!   stored flip-flop state is inverted once.
 //! - [`WordSim::bridge_lane`] (bridge, [`Simulator::add_bridge`]): after
 //!   each gate walk the lane's victim couples from its aggressor with the
 //!   scalar two-pass rule, and only the victims' fan-out cone re-propagates.
 //! - [`WordSim::hold_clock_lane`] (clock outage,
 //!   [`Simulator::suppress_clock`]): a lane mask on the flip-flop update.
 //!
+//! A word need not start at power-on: [`WordSim::load_golden`] broadcasts
+//! one cycle of a fault-free run to every lane, and
+//! [`WordSim::converged`] tells when every lane has fallen back onto lane 0
+//! for good.
+//!
 //! [`Simulator::force`]: crate::Simulator::force
+//! [`Simulator::pulse`]: crate::Simulator::pulse
+//! [`Simulator::flip_ff`]: crate::Simulator::flip_ff
 //! [`Simulator::add_bridge`]: crate::Simulator::add_bridge
 //! [`Simulator::suppress_clock`]: crate::Simulator::suppress_clock
 
 use crate::fault::BridgeKind;
 use socfmea_netlist::{
-    levelize, Driver, Gate, GateId, GateKind, LevelizeError, Logic, NetId, Netlist,
+    levelize, DffId, Driver, Gate, GateId, GateKind, LevelizeError, Logic, NetId, Netlist,
 };
 
 /// Bit lanes in one simulation word.
@@ -70,6 +81,12 @@ fn encode(v: Logic) -> (u64, u64) {
         Logic::One => (0, !0),
         Logic::X | Logic::Z => (!0, !0),
     }
+}
+
+/// True when every lane of a plane holds lane 0's bit.
+#[inline]
+fn uniform(plane: u64) -> bool {
+    plane == (plane & 1).wrapping_neg()
 }
 
 /// Decodes one lane's `(lo, hi)` bit pair.
@@ -114,11 +131,10 @@ impl LaneBridge {
 /// Mirrors the [`Simulator`](crate::Simulator) evaluation model exactly —
 /// levelized combinational propagation, simultaneous DFF sampling on
 /// [`tick`](Self::tick), persistent primary inputs — such that lane 0
-/// tracks a fault-free `Simulator` run bit for bit, and a lane carrying a
-/// [`force_lane`](Self::force_lane) pin, a [`bridge_lane`](Self::bridge_lane)
-/// or a [`hold_clock_lane`](Self::hold_clock_lane) tracks a `Simulator` run
+/// tracks a fault-free `Simulator` run bit for bit, and a lane carrying one
+/// of the per-lane hooks (see the module docs) tracks a `Simulator` run
 /// carrying the equivalent scalar hook, driven through the same sequence
-/// of `set`/`eval`/`tick` calls.
+/// of `set`/`eval`/`tick` calls, as read after each `eval`.
 #[derive(Debug, Clone)]
 pub struct WordSim<'a> {
     netlist: &'a Netlist,
@@ -135,14 +151,22 @@ pub struct WordSim<'a> {
     pin_hi: Vec<u64>,
     /// Nets with a nonzero `pin_mask`, for cheap re-application in `eval`.
     pinned: Vec<NetId>,
+    /// The pins of this cycle's glitches, lifted at the next `tick`.
+    glitches: Vec<(NetId, u64)>,
     /// Per-lane bridges, coupled after every gate walk.
     bridges: Vec<LaneBridge>,
     /// The gates downstream of any bridge victim in levelized order, each
     /// with the lanes in which its output is itself a victim (held while
     /// the cone re-propagates).
     bridge_cone: Vec<(GateId, u64)>,
+    /// Some bridge victim is a net no gate drives, so `tick` re-evaluates
+    /// after the clock edge (see there).
+    source_bridged: bool,
     /// Lanes whose flip-flops keep their state at the clock edge.
     clock_hold: u64,
+    /// The nets neither a gate nor a flip-flop drives: primary inputs,
+    /// constants and undriven wires.
+    sources: Vec<NetId>,
     cycle: u64,
     dirty: bool,
 }
@@ -170,9 +194,15 @@ impl<'a> WordSim<'a> {
             pin_lo: vec![0; n],
             pin_hi: vec![0; n],
             pinned: Vec::new(),
+            glitches: Vec::new(),
             bridges: Vec::new(),
             bridge_cone: Vec::new(),
+            source_bridged: false,
             clock_hold: 0,
+            sources: (0..n)
+                .map(NetId::from_index)
+                .filter(|&i| !matches!(netlist.net(i).driver, Driver::Gate(_) | Driver::Dff(_)))
+                .collect(),
             cycle: 0,
             dirty: true,
         };
@@ -236,15 +266,40 @@ impl<'a> WordSim<'a> {
         self.eval();
     }
 
-    /// Removes every lane pin, bridge and clock hold.
+    /// Starts every lane at cycle `cycle` of a fault-free run: `row` holds
+    /// every net's value at that cycle after its inputs were driven and the
+    /// network evaluated (one row of a golden trace). All lane faults are
+    /// removed. Driving that cycle's inputs again and going on with
+    /// `eval`/`tick` then continues the fault-free run in every lane,
+    /// exactly as a `WordSim` stepped there from power-on would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` does not hold one value per net.
+    pub fn load_golden(&mut self, cycle: u64, row: &[Logic]) {
+        assert_eq!(row.len(), self.lo.len(), "one golden value per net");
+        for (i, &v) in row.iter().enumerate() {
+            (self.lo[i], self.hi[i]) = encode(v);
+        }
+        for (fi, ff) in self.netlist.dffs().iter().enumerate() {
+            // a flip-flop output carries the stored state in a fault-free run
+            (self.ff_lo[fi], self.ff_hi[fi]) = encode(row[ff.q.index()]);
+        }
+        self.clear_lane_faults();
+        self.cycle = cycle;
+        self.dirty = true;
+    }
+
+    /// Removes every lane pin, glitch, bridge and clock hold.
     fn clear_lane_faults(&mut self) {
         self.clear_pins();
         self.bridges.clear();
         self.bridge_cone.clear();
+        self.source_bridged = false;
         self.clock_hold = 0;
     }
 
-    /// Removes every lane pin without touching simulation state.
+    /// Removes every lane pin and glitch without touching simulation state.
     pub fn clear_pins(&mut self) {
         for &net in &self.pinned {
             self.pin_mask[net.index()] = 0;
@@ -252,6 +307,43 @@ impl<'a> WordSim<'a> {
             self.pin_hi[net.index()] = 0;
         }
         self.pinned.clear();
+        self.glitches.clear();
+        self.dirty = true;
+    }
+
+    /// The bit of a faulty lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is 0 (the golden lane) or ≥ [`LANES`].
+    fn lane_bit(lane: usize) -> u64 {
+        assert!(lane != 0, "lane 0 is the golden lane");
+        assert!(lane < LANES, "lane {lane} out of range");
+        1 << lane
+    }
+
+    /// Pins `net` to `value` in the lanes of `bit`.
+    fn pin(&mut self, net: NetId, bit: u64, value: Logic) {
+        let i = net.index();
+        if self.pin_mask[i] == 0 {
+            self.pinned.push(net);
+        }
+        let (l, h) = encode(value);
+        self.pin_mask[i] |= bit;
+        self.pin_lo[i] = (self.pin_lo[i] & !bit) | (l & bit);
+        self.pin_hi[i] = (self.pin_hi[i] & !bit) | (h & bit);
+        self.dirty = true;
+    }
+
+    /// Lifts the pin of `net` in the lanes of `bit`.
+    fn unpin(&mut self, net: NetId, bit: u64) {
+        let i = net.index();
+        self.pin_mask[i] &= !bit;
+        self.pin_lo[i] &= !bit;
+        self.pin_hi[i] &= !bit;
+        if self.pin_mask[i] == 0 {
+            self.pinned.retain(|&n| n != net);
+        }
         self.dirty = true;
     }
 
@@ -274,33 +366,52 @@ impl<'a> WordSim<'a> {
         }
     }
 
-    /// Pins `net` to `value` in one lane only — a per-lane stuck-at force.
-    /// Lane 0 is the golden lane and must stay clean.
+    /// Pins `net` to `value` in one lane only — a per-lane stuck-at force,
+    /// the analogue of [`Simulator::force`](crate::Simulator::force) (`Z`
+    /// pins as `X`). Lane 0 is the golden lane and must stay clean.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is 0 or ≥ [`LANES`], or if `value` is not `0`/`1`
-    /// (a stuck-at fault is binary by definition).
+    /// Panics if `lane` is 0 or ≥ [`LANES`].
     pub fn force_lane(&mut self, net: NetId, lane: usize, value: Logic) {
-        assert!(lane != 0, "lane 0 is the golden lane");
-        assert!(lane < LANES, "lane {lane} out of range");
-        let bit = 1u64 << lane;
-        let i = net.index();
-        if self.pin_mask[i] == 0 {
-            self.pinned.push(net);
-        }
-        self.pin_mask[i] |= bit;
-        match value {
-            Logic::Zero => {
-                self.pin_lo[i] |= bit;
-                self.pin_hi[i] &= !bit;
-            }
-            Logic::One => {
-                self.pin_hi[i] |= bit;
-                self.pin_lo[i] &= !bit;
-            }
-            _ => panic!("stuck-at value must be 0 or 1"),
-        }
+        self.pin(net, Self::lane_bit(lane), value);
+    }
+
+    /// Pins `net` to `value` in one lane for the current cycle only — a
+    /// per-lane glitch, the analogue of
+    /// [`Simulator::pulse`](crate::Simulator::pulse). The pin lifts at the
+    /// next [`tick`](Self::tick). As in the scalar simulator, a net no gate
+    /// drives keeps the glitched value after that until something drives it
+    /// again: a primary input its next [`set`](Self::set), a flip-flop
+    /// output the clock edge itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is 0 or ≥ [`LANES`].
+    pub fn pulse_lane(&mut self, net: NetId, lane: usize, value: Logic) {
+        let bit = Self::lane_bit(lane);
+        self.pin(net, bit, value);
+        self.glitches.push((net, bit));
+    }
+
+    /// Inverts the stored state of flip-flop `dff` in one lane — a per-lane
+    /// bit flip, the analogue of
+    /// [`Simulator::flip_ff`](crate::Simulator::flip_ff): `X` stays `X`,
+    /// and the flip-flop's output shows the new state at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is 0 or ≥ [`LANES`].
+    pub fn flip_lane(&mut self, dff: DffId, lane: usize) {
+        let bit = Self::lane_bit(lane);
+        let fi = dff.index();
+        // NOT swaps the planes; X is (1, 1) either way
+        let (l, h) = (self.ff_lo[fi], self.ff_hi[fi]);
+        self.ff_lo[fi] = (l & !bit) | (h & bit);
+        self.ff_hi[fi] = (h & !bit) | (l & bit);
+        let q = self.netlist.dff(dff).q.index();
+        self.lo[q] = (self.lo[q] & !bit) | (self.ff_lo[fi] & bit);
+        self.hi[q] = (self.hi[q] & !bit) | (self.ff_hi[fi] & bit);
         self.dirty = true;
     }
 
@@ -323,9 +434,7 @@ impl<'a> WordSim<'a> {
     ///
     /// Panics if `lane` is 0 or ≥ [`LANES`], or already carries a bridge.
     pub fn bridge_lane(&mut self, aggressor: NetId, victim: NetId, lane: usize, kind: BridgeKind) {
-        assert!(lane != 0, "lane 0 is the golden lane");
-        assert!(lane < LANES, "lane {lane} out of range");
-        let bit = 1 << lane;
+        let bit = Self::lane_bit(lane);
         assert!(
             self.bridges.iter().all(|b| b.bit != bit),
             "lane {lane} already carries a bridge"
@@ -336,6 +445,7 @@ impl<'a> WordSim<'a> {
             kind,
             bit,
         });
+        self.source_bridged |= !matches!(self.netlist.net(victim).driver, Driver::Gate(_));
         self.rebuild_bridge_cone();
         self.dirty = true;
     }
@@ -370,9 +480,7 @@ impl<'a> WordSim<'a> {
     ///
     /// Panics if `lane` is 0 or ≥ [`LANES`].
     pub fn hold_clock_lane(&mut self, lane: usize, held: bool) {
-        assert!(lane != 0, "lane 0 is the golden lane");
-        assert!(lane < LANES, "lane {lane} out of range");
-        let bit = 1u64 << lane;
+        let bit = Self::lane_bit(lane);
         if held {
             self.clock_hold |= bit;
         } else {
@@ -380,8 +488,27 @@ impl<'a> WordSim<'a> {
         }
     }
 
-    /// Reads one lane of a net (call [`eval`](Self::eval) first if inputs
-    /// changed). `Z` reads as `X` — see the module docs on conflation.
+    /// True when every lane has fallen back onto lane 0 for good: no pin,
+    /// glitch, bridge or clock hold is live, and every flip-flop state and
+    /// every net no gate drives holds lane 0's value in every lane. (A
+    /// flip-flop output is reloaded from its state at every clock edge.)
+    /// With no further lane fault armed, every lane then repeats lane 0 for
+    /// the rest of the run.
+    pub fn converged(&self) -> bool {
+        self.pinned.is_empty()
+            && self.bridges.is_empty()
+            && self.clock_hold == 0
+            && self.ff_lo.iter().chain(&self.ff_hi).all(|&p| uniform(p))
+            && self
+                .sources
+                .iter()
+                .all(|n| uniform(self.lo[n.index()]) && uniform(self.hi[n.index()]))
+    }
+
+    /// Reads one lane of a net (call [`eval`](Self::eval) first if inputs,
+    /// state or lane faults changed since the last call, a
+    /// [`tick`](Self::tick) included). `Z` reads as `X` — see the module
+    /// docs on conflation.
     pub fn get_lane(&self, net: NetId, lane: usize) -> Logic {
         assert!(lane < LANES, "lane {lane} out of range");
         let bit = 1u64 << lane;
@@ -567,8 +694,17 @@ impl<'a> WordSim<'a> {
     /// Advances one clock cycle in all lanes: every flip-flop samples
     /// simultaneously (per lane, with the same reset/enable/X semantics as
     /// [`Simulator::tick`](crate::Simulator::tick); a
-    /// [held](Self::hold_clock_lane) lane keeps its state), and the
-    /// combinational network is re-evaluated.
+    /// [held](Self::hold_clock_lane) lane keeps its state), and this
+    /// cycle's [glitches](Self::pulse_lane) lift.
+    ///
+    /// The combinational network is left for the next [`eval`](Self::eval)
+    /// to walk, once the next cycle's inputs are driven, so a cycle costs
+    /// one gate walk. `Simulator::tick` also re-evaluates here, with the
+    /// previous cycle's inputs. That evaluation matters only to a bridge
+    /// whose victim no gate drives (a flip-flop output, a primary input, a
+    /// constant): it couples that victim, and the next evaluation couples
+    /// again from the coupled value. While some lane carries such a bridge,
+    /// this evaluation runs here too.
     pub fn tick(&mut self) {
         self.eval();
         let hold = self.clock_hold;
@@ -603,10 +739,15 @@ impl<'a> WordSim<'a> {
             self.ff_lo[fi] = (next_lo & !hold) | (cl & hold);
             self.ff_hi[fi] = (next_hi & !hold) | (ch & hold);
         }
+        for (net, bit) in std::mem::take(&mut self.glitches) {
+            self.unpin(net, bit);
+        }
         self.load_ff_outputs();
         self.cycle += 1;
         self.dirty = true;
-        self.eval();
+        if self.source_bridged {
+            self.eval();
+        }
     }
 }
 
@@ -720,6 +861,7 @@ mod tests {
                     assert_lane_matches(&word, &scalar, 0, &format!("{va}{vc}{ve}"));
                     word.tick();
                     scalar.tick();
+                    word.eval();
                     assert_lane_matches(&word, &scalar, 0, &format!("{va}{vc}{ve} post-tick"));
                 }
             }
@@ -759,11 +901,13 @@ mod tests {
 
     /// Gate, flip-flop, input and constant nets to bridge: `g_nand`
     /// inverts `g_xor`, which reads `g_and`, so bridging `g_and` from
-    /// `g_nand` closes a feedback loop.
+    /// `g_nand` closes a feedback loop. Input `c` is driven once, at cycle
+    /// 0, and never again.
     fn bridge_fixture() -> Netlist {
         let mut b = NetlistBuilder::new("brg");
         let a = b.input("a");
         let bb = b.input("b");
+        let c = b.input("c");
         let rst = b.input("rst");
         let one = b.constant(Logic::One);
         let q0 = b.dff_placeholder("q0");
@@ -773,37 +917,24 @@ mod tests {
         let g_xor = b.gate(GateKind::Xor, &[g_and, g_or], "g_xor");
         let g_nand = b.gate(GateKind::Nand, &[g_xor, one], "g_nand");
         let t1 = b.gate(GateKind::Xor, &[q1, g_and], "t1");
+        let g_c = b.gate(GateKind::Or, &[c, g_xor], "g_c");
         b.bind_dff("q0", g_nand);
         b.bind_dff("q1", t1);
         b.set_dff_controls(q0, None, Some(rst), Logic::Zero);
         b.set_dff_controls(q1, None, Some(rst), Logic::Zero);
         b.output("o_xor", g_xor);
+        b.output("o_c", g_c);
         b.output("o0", q0);
         b.output("o1", q1);
         b.finish().unwrap()
     }
 
-    /// One lane's fault, armed at a cycle.
-    #[derive(Debug, Clone, Copy)]
-    enum LaneFault {
-        Force(NetId, Logic),
-        Bridge(NetId, NetId, BridgeKind),
-        /// A clock outage of this many ticks.
-        Hold(usize),
-    }
-
-    /// Drives a word and one scalar simulator per faulty lane through the
-    /// same `set`/`eval`/`tick` calls, arming lane `i + 1`'s fault where
-    /// `faults[i]` says, and asserts every net of every lane against its
-    /// scalar twin after every `eval` and every `tick`.
-    fn assert_lanes_track_scalar_runs(nl: &Netlist, faults: &[(usize, LaneFault)]) {
-        let net = |name: &str| nl.net_by_name(name).unwrap();
-        let (a, b, rst) = (net("a"), net("b"), net("rst"));
-        let mut word = WordSim::new(nl).unwrap();
-        let mut golden = Simulator::new(nl).unwrap();
-        let mut scalars: Vec<Simulator> = faults.iter().map(|_| golden.clone_fresh()).collect();
+    /// `(rst, a, b)` per cycle of the fixture workload; `c` is driven to 0
+    /// at cycle 0 only. The `X` reset at cycle 8 leaves both flip-flops at
+    /// `X` in every lane.
+    const STIMULUS: [(Logic, Logic, Logic); 11] = {
         use Logic::{One as I, Zero as O, X};
-        let stimulus = [
+        [
             (I, O, O),
             (O, I, O),
             (O, I, I),
@@ -815,22 +946,81 @@ mod tests {
             (X, I, O),
             (O, O, O),
             (O, I, O),
-        ];
-        for (cycle, &(vr, va, vb)) in stimulus.iter().enumerate() {
-            for sim in scalars.iter_mut().chain([&mut golden]) {
-                sim.set(rst, vr);
-                sim.set(a, va);
-                sim.set(b, vb);
+        ]
+    };
+
+    /// One lane's fault, armed at a cycle.
+    #[derive(Debug, Clone, Copy)]
+    enum LaneFault {
+        Force(NetId, Logic),
+        Pulse(NetId, Logic),
+        Flip(DffId),
+        Bridge(NetId, NetId, BridgeKind),
+        /// A clock outage of this many ticks.
+        Hold(usize),
+    }
+
+    /// Drives a word and one scalar simulator per faulty lane through the
+    /// fixture workload, arming lane `i + 1`'s fault where `faults[i]`
+    /// says, and asserts every net of every lane against its scalar twin
+    /// after every `eval`, and every lane's [`diff_mask`](WordSim::diff_mask)
+    /// bit against its value. The word starts at cycle `start` from the
+    /// golden row there (the scalars step to it fault-free).
+    ///
+    /// Returns the first cycle past the last arming at which the word
+    /// reports [`converged`](WordSim::converged) once that cycle's inputs
+    /// are driven, asserting that from there on it stays converged and
+    /// every lane equals lane 0 on every net.
+    fn assert_lanes_track_scalar_runs(
+        nl: &Netlist,
+        start: usize,
+        faults: &[(usize, LaneFault)],
+    ) -> Option<usize> {
+        let net = |name: &str| nl.net_by_name(name).unwrap();
+        let (a, b, c, rst) = (net("a"), net("b"), net("c"), net("rst"));
+        let mut word = WordSim::new(nl).unwrap();
+        let mut golden = Simulator::new(nl).unwrap();
+        let mut scalars: Vec<Simulator> = faults.iter().map(|_| golden.clone_fresh()).collect();
+        let settle = faults.iter().map(|&(at, _)| at).max().unwrap_or(0);
+        let mut converged = None;
+        for (cycle, &(vr, va, vb)) in STIMULUS.iter().enumerate() {
+            let mut drive = vec![(rst, vr), (a, va), (b, vb)];
+            if cycle == 0 {
+                drive.push((c, Logic::Zero));
             }
-            word.set(rst, vr);
-            word.set(a, va);
-            word.set(b, vb);
+            for sim in scalars.iter_mut().chain([&mut golden]) {
+                drive.iter().for_each(|&(n, v)| sim.set(n, v));
+            }
+            golden.eval();
+            if cycle == start && start > 0 {
+                word.load_golden(cycle as u64, golden.values());
+            }
+            if cycle >= start {
+                drive.iter().for_each(|&(n, v)| word.set(n, v));
+                if cycle > settle && word.converged() {
+                    converged.get_or_insert(cycle);
+                }
+                assert_eq!(
+                    converged.is_some(),
+                    word.converged() && cycle > settle,
+                    "cycle {cycle}: convergence is for good"
+                );
+            }
             for (i, &(at, fault)) in faults.iter().enumerate() {
+                assert!(at >= start, "a fault armed before the word starts");
                 let (lane, sim) = (i + 1, &mut scalars[i]);
                 match fault {
                     LaneFault::Force(n, v) if cycle == at => {
                         word.force_lane(n, lane, v);
                         sim.force(n, v);
+                    }
+                    LaneFault::Pulse(n, v) if cycle == at => {
+                        word.pulse_lane(n, lane, v);
+                        sim.pulse(n, v);
+                    }
+                    LaneFault::Flip(ff) if cycle == at => {
+                        word.flip_lane(ff, lane);
+                        sim.flip_ff(ff);
                     }
                     LaneFault::Bridge(agg, victim, kind) if cycle == at => {
                         word.bridge_lane(agg, victim, lane, kind);
@@ -849,22 +1039,37 @@ mod tests {
                     _ => {}
                 }
             }
-            word.eval();
-            golden.eval();
             scalars.iter_mut().for_each(Simulator::eval);
-            for step in ["eval", "tick"] {
-                assert_lane_matches(&word, &golden, 0, &format!("golden, cycle {cycle} {step}"));
+            if cycle >= start {
+                word.eval();
+                assert_lane_matches(&word, &golden, 0, &format!("golden, cycle {cycle}"));
                 for (i, sim) in scalars.iter().enumerate() {
-                    let tag = format!("{:?}, cycle {cycle} {step}", faults[i]);
+                    let tag = format!("{:?}, cycle {cycle}", faults[i]);
                     assert_lane_matches(&word, sim, i + 1, &tag);
+                    for n in (0..nl.net_count()).map(NetId::from_index) {
+                        let differs = word.get_lane(n, i + 1) != word.get(n);
+                        assert_eq!(word.diff_mask(n) >> (i + 1) & 1 == 1, differs, "{tag}");
+                    }
                 }
-                if step == "eval" {
-                    word.tick();
-                    golden.tick();
-                    scalars.iter_mut().for_each(Simulator::tick);
+                if converged.is_some() {
+                    for i in 0..nl.net_count() {
+                        assert_eq!(word.diff_mask(NetId::from_index(i)), 0, "cycle {cycle}");
+                    }
                 }
+                word.tick();
             }
+            golden.tick();
+            scalars.iter_mut().for_each(Simulator::tick);
         }
+        converged
+    }
+
+    /// Every fault of `faults` alone in a word, then all of them in one.
+    fn assert_each_and_all_track_scalar_runs(nl: &Netlist, faults: &[(usize, LaneFault)]) {
+        for &fault in faults {
+            assert_lanes_track_scalar_runs(nl, 0, &[fault]);
+        }
+        assert_lanes_track_scalar_runs(nl, 0, faults);
     }
 
     #[test]
@@ -897,11 +1102,7 @@ mod tests {
         }
         // a pinned lane inside the bridges' fan-out cone
         faults.push((1, LaneFault::Force(net("g_xor"), Logic::One)));
-        // every lane alone, then all of them in one word
-        for &fault in &faults {
-            assert_lanes_track_scalar_runs(&nl, &[fault]);
-        }
-        assert_lanes_track_scalar_runs(&nl, &faults);
+        assert_each_and_all_track_scalar_runs(&nl, &faults);
     }
 
     #[test]
@@ -911,10 +1112,104 @@ mod tests {
             .into_iter()
             .flat_map(|ticks| [(3, LaneFault::Hold(ticks)), (9, LaneFault::Hold(ticks))])
             .collect();
-        for &fault in &faults {
-            assert_lanes_track_scalar_runs(&nl, &[fault]);
+        assert_each_and_all_track_scalar_runs(&nl, &faults);
+    }
+
+    #[test]
+    fn flipped_lanes_match_flipped_scalar_simulators() {
+        let nl = bridge_fixture();
+        // cycle 9 follows the `X` reset: both flip-flops hold `X` there
+        let mut golden = Simulator::new(&nl).unwrap();
+        let rst = nl.net_by_name("rst").unwrap();
+        for &(vr, _, _) in &STIMULUS[..9] {
+            golden.set(rst, vr);
+            golden.tick();
         }
-        assert_lanes_track_scalar_runs(&nl, &faults);
+        assert_eq!(golden.ff(DffId(0)), Logic::X);
+        let faults: Vec<_> = [0, 3, 9]
+            .into_iter()
+            .flat_map(|at| {
+                [
+                    (at, LaneFault::Flip(DffId(0))),
+                    (at, LaneFault::Flip(DffId(1))),
+                ]
+            })
+            .collect();
+        assert_each_and_all_track_scalar_runs(&nl, &faults);
+    }
+
+    #[test]
+    fn pulsed_lanes_match_pulsed_scalar_simulators() {
+        let nl = bridge_fixture();
+        let net = |name: &str| nl.net_by_name(name).unwrap();
+        let mut faults = Vec::new();
+        // a gate output, a re-driven input, the never re-driven input `c`
+        // and a flip-flop output, at both values
+        for name in ["g_and", "g_xor", "a", "c", "q0"] {
+            for (at, value) in [(1, Logic::One), (4, Logic::Zero), (9, Logic::One)] {
+                faults.push((at, LaneFault::Pulse(net(name), value)));
+            }
+        }
+        assert_each_and_all_track_scalar_runs(&nl, &faults);
+    }
+
+    #[test]
+    fn x_forced_lanes_match_x_forced_scalar_simulators() {
+        let nl = bridge_fixture();
+        let net = |name: &str| nl.net_by_name(name).unwrap();
+        let faults: Vec<_> = ["g_and", "g_xor", "a", "q1"]
+            .into_iter()
+            .flat_map(|name| [0, 3].map(|at| (at, LaneFault::Force(net(name), Logic::X))))
+            .collect();
+        assert_each_and_all_track_scalar_runs(&nl, &faults);
+    }
+
+    #[test]
+    fn a_word_started_from_a_golden_row_stops_early() {
+        let nl = bridge_fixture();
+        let net = |name: &str| nl.net_by_name(name).unwrap();
+        // flips and a glitch that the `X` reset at cycle 8 washes out
+        let faults = [
+            (5, LaneFault::Flip(DffId(0))),
+            (5, LaneFault::Flip(DffId(1))),
+            (6, LaneFault::Pulse(net("g_and"), Logic::One)),
+        ];
+        let converged = assert_lanes_track_scalar_runs(&nl, 5, &faults);
+        assert!(
+            matches!(converged, Some(c) if c <= 9),
+            "converged at {converged:?}"
+        );
+    }
+
+    #[test]
+    fn a_live_clock_hold_is_never_converged() {
+        let nl = counter2();
+        let (rst, q0) = (
+            nl.net_by_name("rst").unwrap(),
+            nl.net_by_name("q0").unwrap(),
+        );
+        let mut word = WordSim::new(&nl).unwrap();
+        word.set(rst, Logic::One);
+        word.hold_clock_lane(1, true);
+        word.eval();
+        word.tick();
+        // the reset kept lane 0 at the power-on state the held lane keeps
+        assert_eq!(word.diff_mask(q0), 0);
+        assert!(
+            !word.converged(),
+            "the golden lane counts on at the next edge"
+        );
+        word.hold_clock_lane(1, false);
+        assert!(word.converged());
+    }
+
+    #[test]
+    fn a_glitched_input_never_re_driven_keeps_the_word_running() {
+        let nl = bridge_fixture();
+        let c = nl.net_by_name("c").unwrap();
+        // `c` is 0 from cycle 0 on: the glitched lane keeps its 1 to the end
+        let faults = [(2, LaneFault::Pulse(c, Logic::One))];
+        assert_eq!(assert_lanes_track_scalar_runs(&nl, 2, &faults), None);
     }
 
     #[test]
@@ -931,10 +1226,12 @@ mod tests {
         word.tick();
         word.set(rst, Logic::Zero);
         word.eval();
-        word.tick(); // golden q0 = 1, lane 5 pinned to 0
+        word.tick();
+        word.eval(); // golden q0 = 1, lane 5 pinned to 0
         assert!(word.golden_known(q0));
         assert_eq!(word.diff_mask(q0), 1 << 5);
-        word.tick(); // golden: q1 = 1; lane 5: frozen at 0
+        word.tick();
+        word.eval(); // golden: q1 = 1; lane 5: frozen at 0
         assert_eq!(word.diff_mask(q1), 1 << 5);
         // one_mask: golden q1 is One everywhere except the frozen lane
         assert_eq!(word.one_mask(q1), !(1u64 << 5));
@@ -974,6 +1271,7 @@ mod tests {
         scalar.eval();
         word.tick();
         scalar.tick();
+        word.eval();
         assert_lane_matches(&word, &scalar, 7, "ex-faulty lane after reset");
     }
 

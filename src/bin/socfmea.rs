@@ -33,8 +33,8 @@
 //!   --threads <n>              campaign worker threads
 //!   --seed <s>                 fault-list sampling seed
 //!   --cycles <n>               synthetic workload length in cycles
-//!   --engine <e>               campaign engine (auto|lockstep|sparse|ppsfp)
-//!   --checkpoint-interval <n>  golden-trace checkpoint spacing (sparse/ppsfp)
+//!   --engine <e>               campaign engine (auto|lockstep|ppsfp)
+//!   --checkpoint-interval <n>  golden-trace checkpoint spacing
 //!   --collapse                 simulate one representative per equivalence
 //!                              class, back-annotate the rest
 //!   --prune                    skip statically proven-undetectable faults,

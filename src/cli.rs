@@ -65,10 +65,10 @@ inject options:
   --threads <n>              campaign worker threads (default: host cores, max 8)
   --seed <s>                 fault-list sampling seed (default: 0x5eed)
   --cycles <n>               synthetic workload length in cycles (default: 48)
-  --engine <e>               campaign execution engine (auto|lockstep|sparse|
-                             ppsfp); every engine yields the bit-identical
-                             result (default: auto — ppsfp for all-stuck-at
-                             lists, sparse otherwise)
+  --engine <e>               campaign execution engine (auto|lockstep|ppsfp);
+                             every engine yields the bit-identical result
+                             (default: auto — ppsfp, lockstep for an empty
+                             fault list)
   --checkpoint-interval <n>  golden-trace checkpoint spacing; no engine
                              reads the checkpoints, so it changes only the
                              trace's memory (default: 16)
@@ -179,7 +179,7 @@ pub struct SubmitOptions {
     pub threads: usize,
     /// Campaign execution engine.
     pub engine: Engine,
-    /// Checkpoint spacing of the golden trace under [`Engine::Sparse`].
+    /// Checkpoint spacing of the golden trace (read by no engine).
     pub checkpoint_interval: usize,
     /// Fault-collapsing mode.
     pub collapse: Collapse,
@@ -265,7 +265,7 @@ pub struct InjectOptions {
     /// Campaign execution engine; every engine yields the bit-identical
     /// result, so this only selects the execution strategy.
     pub engine: Engine,
-    /// Checkpoint spacing of the golden trace under [`Engine::Sparse`].
+    /// Checkpoint spacing of the golden trace (read by no engine).
     pub checkpoint_interval: usize,
     /// Fault-collapsing mode: simulate one representative per equivalence
     /// class and expand the rest from the fault dictionary (bit-identical).
@@ -568,7 +568,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 engine = match e.as_str() {
                     "auto" => Engine::Auto,
                     "lockstep" => Engine::Lockstep,
-                    "sparse" => Engine::Sparse,
                     "ppsfp" => Engine::Ppsfp,
                     other => return Err(format!("unknown engine `{other}`")),
                 };
@@ -1002,7 +1001,6 @@ mod tests {
         for (name, engine) in [
             ("auto", Engine::Auto),
             ("lockstep", Engine::Lockstep),
-            ("sparse", Engine::Sparse),
             ("ppsfp", Engine::Ppsfp),
         ] {
             let cmd = parse(&argv(&["inject", "d.v", "--engine", name])).unwrap();
@@ -1015,7 +1013,7 @@ mod tests {
             "inject",
             "d.v",
             "--engine",
-            "sparse",
+            "ppsfp",
             "--checkpoint-interval",
             "8",
         ]))
@@ -1023,18 +1021,21 @@ mod tests {
         let Command::Inject(o) = cmd else {
             panic!("inject expected")
         };
-        assert_eq!(o.engine, Engine::Sparse);
+        assert_eq!(o.engine, Engine::Ppsfp);
         assert_eq!(o.checkpoint_interval, 8);
-        // unknown engines, degenerate and foreign uses are rejected
-        assert!(parse(&argv(&["inject", "d.v", "--engine", "warp"]))
-            .unwrap_err()
-            .contains("unknown engine"));
+        // unknown (and retired) engines, degenerate and foreign uses are
+        // rejected
+        for retired in ["warp", "sparse"] {
+            assert!(parse(&argv(&["inject", "d.v", "--engine", retired]))
+                .unwrap_err()
+                .contains("unknown engine"));
+        }
         assert!(
             parse(&argv(&["inject", "d.v", "--checkpoint-interval", "0"]))
                 .unwrap_err()
                 .contains("at least 1")
         );
-        assert!(parse(&argv(&["analyze", "d.v", "--engine", "sparse"])).is_err());
+        assert!(parse(&argv(&["analyze", "d.v", "--engine", "ppsfp"])).is_err());
         assert!(parse(&argv(&["lint", "d.v", "--checkpoint-interval", "4"])).is_err());
     }
 
@@ -1187,7 +1188,7 @@ mod tests {
             "--cycles",
             "16",
             "--engine",
-            "sparse",
+            "ppsfp",
             "--checkpoint-interval",
             "8",
             "--collapse",
@@ -1203,7 +1204,7 @@ mod tests {
         assert!(o.input.is_none());
         assert_eq!(o.seed, 7);
         assert_eq!(o.cycles, 16);
-        assert_eq!(o.engine, Engine::Sparse);
+        assert_eq!(o.engine, Engine::Ppsfp);
         assert_eq!(o.checkpoint_interval, 8);
         assert_eq!(o.collapse, Collapse::Dictionary);
         assert_eq!(o.prune, Prune::Static);

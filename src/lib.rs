@@ -17,7 +17,7 @@
 //! | [`iec61508`] | `socfmea-iec61508` | SIL/HFT/SFF tables, Annex A techniques, failure modes |
 //! | [`fmea`] | `socfmea-core` | zones, worksheet, SFF/DC, ranking, sensitivity, validation |
 //! | [`faultsim`] | `socfmea-faultsim` | injection environment, monitors, permanent-fault simulator |
-//! | [`accel`] | `socfmea-accel` | golden traces, checkpoints, divergence-set fault simulation |
+//! | [`accel`] | `socfmea-accel` | golden traces, checkpoints, propagation topology |
 //! | [`obs`] | `socfmea-obs` | spans, metrics registry, JSONL fault traces, live progress |
 //! | [`lint`] | `socfmea-lint` | static safety lints over netlist, zones, and worksheet |
 //! | [`serve`] | `socfmea-serve` | multi-tenant campaign server, artifact cache, live streaming |
@@ -73,8 +73,8 @@ pub use socfmea_core as fmea;
 /// The fault-injection environment and permanent-fault simulator.
 pub use socfmea_faultsim as faultsim;
 
-/// The checkpointed incremental fault-simulation engine behind
-/// [`Engine::Sparse`](faultsim::Engine::Sparse).
+/// The golden trace every campaign records, and the propagation topology
+/// the static analyses and lints walk.
 pub use socfmea_accel as accel;
 
 /// Static testability analysis: ternary constant propagation, SCOAP

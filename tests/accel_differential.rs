@@ -1,17 +1,17 @@
-//! Differential tests: the accelerated campaign engine (`--engine sparse`,
-//! `Campaign::engine(Engine::Sparse)`) produces bit-identical results to
-//! the baseline lockstep engine on all four bundled example designs.
+//! Differential tests: the accelerated campaign engine (`--engine ppsfp`,
+//! `Campaign::engine(Engine::Ppsfp)`, and `auto`, which resolves to it)
+//! produces bit-identical results to the baseline lockstep engine on mixed
+//! fault lists on all four bundled example designs.
 //!
-//! These are the acceptance tests of the accelerated kernels: PPSFP words,
-//! divergence-set propagation and convergence early exit are pure
-//! execution strategies, so outcomes *and* coverage must match exactly —
-//! on the hardened and baseline F-MEM memory subsystems and on the
-//! lockstep and single-core MCUs.
+//! These are the acceptance tests of the word kernel on every fault kind:
+//! PPSFP lanes, the golden-row start and the convergence early exit are
+//! pure execution strategies, so outcomes *and* coverage must match
+//! exactly — on the hardened and baseline F-MEM memory subsystems and on
+//! the lockstep and single-core MCUs.
 //!
 //! Kept deliberately small (reduced memory size, modest fault lists) so the
 //! suite stays fast in debug builds; the CI `accel-differential` job also
-//! runs it under `--release` together with a `bench_accel --quick` smoke
-//! run.
+//! runs it under `--release`.
 
 use soc_fmea::faultsim::{
     generate_fault_list, Campaign, CampaignResult, Engine, EnvironmentBuilder, FaultListConfig,
@@ -41,7 +41,7 @@ fn fault_config() -> FaultListConfig {
 }
 
 /// Runs baseline and accelerated campaigns over the same environment and
-/// asserts bit-identity at two checkpoint intervals.
+/// asserts bit-identity, sharded and serial.
 fn assert_differential(
     design: &str,
     netlist: &Netlist,
@@ -58,15 +58,14 @@ fn assert_differential(
     assert!(!faults.is_empty(), "{design}: empty fault list");
 
     let baseline: CampaignResult = Campaign::new(&env, &faults).run();
-    for interval in [1usize, 16] {
+    for (engine, threads) in [(Engine::Ppsfp, 2), (Engine::Auto, 1)] {
         let accel = Campaign::new(&env, &faults)
-            .engine(Engine::Sparse)
-            .checkpoint_interval(interval)
-            .threads(2)
+            .engine(engine)
+            .threads(threads)
             .run();
         assert_eq!(
             baseline, accel,
-            "{design}: accelerated result diverges at checkpoint interval {interval}"
+            "{design}: {engine:?} result diverges at {threads} threads"
         );
     }
 }

@@ -71,7 +71,7 @@ fn strided_stuck_list(netlist: &Netlist, stride: usize, cap: usize) -> Vec<Fault
 }
 
 /// Runs baseline and collapsed campaigns over the same environment and
-/// asserts bit-identity, serial, sharded and composed with the sparse engine.
+/// asserts bit-identity, serial, sharded and composed with the PPSFP engine.
 fn assert_differential(
     design: &str,
     netlist: &Netlist,
@@ -104,8 +104,7 @@ fn assert_differential(
         );
         let composed = Campaign::new(&env, faults)
             .collapsing(Collapse::Dictionary)
-            .engine(Engine::Sparse)
-            .checkpoint_interval(16)
+            .engine(Engine::Ppsfp)
             .threads(2)
             .run();
         assert_eq!(

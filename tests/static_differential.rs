@@ -96,7 +96,7 @@ fn assert_differential(
     let mut total_pruned = 0;
     for (list_name, faults) in [("generated", &generated), ("stuck-at", &stuck)] {
         let baseline: CampaignResult = Campaign::new(&env, faults).run();
-        for engine in [Engine::Lockstep, Engine::Sparse, Engine::Ppsfp] {
+        for engine in [Engine::Lockstep, Engine::Ppsfp] {
             for collapse in [Collapse::Off, Collapse::Dictionary] {
                 let campaign = Campaign::new(&env, faults)
                     .engine(engine)
