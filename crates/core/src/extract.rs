@@ -102,6 +102,36 @@ pub struct ZoneSet {
 }
 
 impl ZoneSet {
+    /// Heap bytes the zone set owns: every zone's names, anchors, cone and
+    /// member lists, plus the gate membership, the correlation map and the
+    /// flip-flop index.
+    pub fn heap_bytes(&self) -> usize {
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let zone = |z: &SensibleZone| {
+            let members = match &z.kind {
+                ZoneKind::RegisterGroup { dffs } => vec(dffs),
+                ZoneKind::PrimaryInputGroup { nets }
+                | ZoneKind::PrimaryOutputGroup { nets }
+                | ZoneKind::LogicalEntity { nets } => vec(nets),
+                ZoneKind::CriticalNet { .. } => 0,
+                ZoneKind::SubBlock { gates, dffs } => vec(gates) + vec(dffs),
+            };
+            z.name.capacity()
+                + z.block.capacity()
+                + vec(&z.anchors)
+                + vec(&z.cone.gates)
+                + vec(&z.cone.leaves)
+                + members
+        };
+        vec(&self.zones)
+            + self.zones.iter().map(zone).sum::<usize>()
+            + self.membership.heap_bytes()
+            + self.correlation.heap_bytes()
+            + vec(&self.dff_zone)
+    }
+
     /// All zones, indexable by [`ZoneId::index`].
     pub fn zones(&self) -> &[SensibleZone] {
         &self.zones

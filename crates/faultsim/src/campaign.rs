@@ -702,7 +702,9 @@ impl CampaignArtifacts {
                 )
             })
         });
-        let approx_bytes = ctx.approx_bytes() + faults.len() * 24;
+        let approx_bytes = ctx.approx_bytes()
+            + collapse_plan.as_ref().map_or(0, CollapsePlan::approx_bytes)
+            + prune_plan.as_ref().map_or(0, PrunePlan::approx_bytes);
         CampaignArtifacts {
             engine,
             checkpoint_interval,
@@ -727,9 +729,10 @@ impl CampaignArtifacts {
         self.faults_len
     }
 
-    /// Approximate resident size in bytes (golden trace matrix +
-    /// checkpoints, monitor lookups, plans) — the currency of a byte-budget
-    /// artifact cache.
+    /// Approximate heap bytes the artifacts own (golden trace matrix and
+    /// checkpoints, monitor lookups, collapse and prune plans; not the
+    /// fault list they were prepared over) — part of the currency of a
+    /// byte-budget artifact cache.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
     }

@@ -362,6 +362,11 @@ pub(crate) struct CollapsePlan {
 }
 
 impl CollapsePlan {
+    /// Heap bytes of the representative map and the schedule.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        (self.rep_of.capacity() + self.sim_order.capacity()) * std::mem::size_of::<usize>()
+    }
+
     /// Builds the plan for a fault list over a workload of `cycles` cycles.
     /// `golden` reads the fault-free value of a targeted net at a cycle.
     /// Faults with `skip(i)` true are answered elsewhere (statically

@@ -37,6 +37,11 @@ pub(crate) struct PrunePlan {
 }
 
 impl PrunePlan {
+    /// Heap bytes of the per-fault proof table.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Option<(Proof, bool)>>()
+    }
+
     /// Classifies `faults` and synthesizes the undetectable ones.
     /// `golden` reads the fault-free value of a fault-targeted net at a
     /// cycle (any engine's recorded golden trace).

@@ -4,9 +4,10 @@
 //! a severity, a message, an *anchor* naming the design object the finding
 //! points at (the lint's equivalent of a source span), and an optional help
 //! note. Diagnostics render two ways: rustc-style text for humans and a
-//! line-oriented JSON document for tools — both hand-rolled, since the
-//! build environment carries no serialization dependency.
+//! line-oriented JSON document for tools, whose strings go through the
+//! workspace's one JSON escaper in `socfmea_obs::json`.
 
+use socfmea_obs::json::{quote, quote_into};
 use std::fmt;
 
 /// How serious a finding is.
@@ -156,36 +157,20 @@ impl Diagnostic {
     /// Renders the finding as one JSON object.
     pub fn render_json(&self) -> String {
         let mut s = format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"anchor\":{{\"kind\":\"{}\",\"name\":\"{}\"}},\"message\":\"{}\"",
+            "{{\"code\":\"{}\",\"severity\":\"{}\",\"anchor\":{{\"kind\":\"{}\",\"name\":{}}},\"message\":{}",
             self.code,
             self.severity,
             self.anchor.kind(),
-            json_escape(&self.anchor.location()),
-            json_escape(&self.message),
+            quote(&self.anchor.location()),
+            quote(&self.message),
         );
         if let Some(help) = &self.help {
-            s.push_str(&format!(",\"help\":\"{}\"", json_escape(help)));
+            s.push_str(",\"help\":");
+            quote_into(&mut s, help);
         }
         s.push('}');
         s
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -228,6 +213,12 @@ mod tests {
         assert!(json.contains("\\\"w0\\\""));
         assert!(json.contains("bad\\nclaim"));
         assert!(!json.contains("\"help\""));
+        // the exact bytes, help escaped too
+        let json = d.with_help("tab\there\u{1}").render_json();
+        assert_eq!(
+            json,
+            r#"{"code":"SL0102","severity":"error","anchor":{"kind":"zone","name":"zone `mem/\"w0\"`"},"message":"bad\nclaim","help":"tab\there\u0001"}"#
+        );
     }
 
     #[test]

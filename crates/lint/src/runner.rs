@@ -283,8 +283,8 @@ impl LintReport {
     pub fn render_json(&self) -> String {
         let body: Vec<String> = self.diagnostics.iter().map(|d| d.render_json()).collect();
         format!(
-            "{{\"design\":\"{}\",\"errors\":{},\"warnings\":{},\"infos\":{},\"diagnostics\":[{}]}}",
-            crate::diag::json_escape(&self.design),
+            "{{\"design\":{},\"errors\":{},\"warnings\":{},\"infos\":{},\"diagnostics\":[{}]}}",
+            socfmea_obs::json::quote(&self.design),
             self.errors(),
             self.warnings(),
             self.infos(),

@@ -39,6 +39,12 @@ pub struct GateMembership {
 }
 
 impl GateMembership {
+    /// Heap bytes of the two membership arrays.
+    pub fn heap_bytes(&self) -> usize {
+        self.start.capacity() * std::mem::size_of::<u32>()
+            + self.cones.capacity() * std::mem::size_of::<usize>()
+    }
+
     /// The indices of the cones that contain `gate`, ascending.
     pub fn cones_of(&self, gate: GateId) -> &[usize] {
         let at = gate.index();
@@ -138,6 +144,17 @@ pub struct CorrelationMatrix {
 }
 
 impl CorrelationMatrix {
+    /// Approximate heap bytes of the shared-gate map: its bucket array
+    /// (capacity rounded up to a power of two at 7/8 load) with one
+    /// control byte per bucket.
+    pub fn heap_bytes(&self) -> usize {
+        if self.shared.capacity() == 0 {
+            return 0;
+        }
+        let buckets = (self.shared.capacity() * 8 / 7).next_power_of_two();
+        buckets * (std::mem::size_of::<((usize, usize), usize)>() + 1)
+    }
+
     /// Builds the matrix from per-gate membership.
     pub fn from_membership(membership: &GateMembership, cone_count: usize) -> CorrelationMatrix {
         let mut shared: HashMap<(usize, usize), usize> = HashMap::new();

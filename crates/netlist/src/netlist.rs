@@ -142,6 +142,31 @@ impl Netlist {
         &self.name
     }
 
+    /// Heap bytes the netlist owns: every vector by capacity, every name,
+    /// and each gate's input list (the netlist's own `size_of` excluded).
+    pub fn heap_bytes(&self) -> usize {
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        self.name.capacity()
+            + vec(&self.nets)
+            + self.nets.iter().map(|n| n.name.capacity()).sum::<usize>()
+            + vec(&self.gates)
+            + self
+                .gates
+                .iter()
+                .map(|g| vec(&g.inputs) + g.name.capacity())
+                .sum::<usize>()
+            + vec(&self.dffs)
+            + self.dffs.iter().map(|d| d.name.capacity()).sum::<usize>()
+            + vec(&self.blocks)
+            + self.blocks.iter().map(String::capacity).sum::<usize>()
+            + vec(&self.inputs)
+            + vec(&self.outputs)
+            + vec(&self.critical_nets)
+            + vec(&self.by_name)
+    }
+
     /// All nets, indexable by [`NetId::index`].
     pub fn nets(&self) -> &[Net] {
         &self.nets

@@ -58,10 +58,31 @@ impl Error for ParseVerilogError {}
 
 impl From<NetlistError> for ParseVerilogError {
     fn from(e: NetlistError) -> Self {
-        ParseVerilogError {
-            line: 0,
-            message: e.to_string(),
+        let message = match e {
+            NetlistError::DuplicateName(n) => NetlistError::DuplicateName(shown(&n)),
+            NetlistError::UndrivenNet(n) => NetlistError::UndrivenNet(shown(&n)),
+            NetlistError::BadArity { gate, kind, inputs } => NetlistError::BadArity {
+                gate: shown(&gate),
+                kind,
+                inputs,
+            },
+            other => other,
         }
+        .to_string();
+        ParseVerilogError { line: 0, message }
+    }
+}
+
+/// At most this many characters of an offending token or name are quoted
+/// in an error message, so a megabyte-long identifier draws a short error.
+const QUOTED_CHARS: usize = 64;
+
+/// `text` as an error message quotes it: its first [`QUOTED_CHARS`]
+/// characters, with `…` marking a cut.
+fn shown(text: &str) -> String {
+    match text.char_indices().nth(QUOTED_CHARS) {
+        Some((cut, _)) => format!("{}…", &text[..cut]),
+        None => text.to_owned(),
     }
 }
 
@@ -192,7 +213,7 @@ impl Parser {
         if t.text != text {
             return Err(ParseVerilogError {
                 line: t.line,
-                message: format!("expected `{text}`, found `{}`", t.text),
+                message: format!("expected `{text}`, found `{}`", shown(&t.text)),
             });
         }
         Ok(())
@@ -209,7 +230,7 @@ impl Parser {
         if !ok {
             return Err(ParseVerilogError {
                 line: t.line,
-                message: format!("expected identifier, found `{}`", t.text),
+                message: format!("expected identifier, found `{}`", shown(&t.text)),
             });
         }
         Ok(t)
@@ -219,7 +240,7 @@ impl Parser {
         let t = self.next()?;
         t.text.parse::<u32>().map_err(|_| ParseVerilogError {
             line: t.line,
-            message: format!("expected number, found `{}`", t.text),
+            message: format!("expected number, found `{}`", shown(&t.text)),
         })
     }
 
@@ -355,7 +376,7 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
                         if declared.insert(n.clone(), kind).is_some() {
                             return Err(ParseVerilogError {
                                 line: id.line,
-                                message: format!("net `{n}` declared twice"),
+                                message: format!("net `{}` declared twice", shown(&n)),
                             });
                         }
                         if kind == DeclKind::Input {
@@ -420,7 +441,7 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
         if !declared.contains_key(&base_of(q)) && !declared.contains_key(q) {
             return Err(ParseVerilogError {
                 line: inst.line,
-                message: format!("flip-flop output `{q}` not declared"),
+                message: format!("flip-flop output `{}` not declared", shown(q)),
             });
         }
         let net = builder.dff_placeholder(q.clone());
@@ -435,7 +456,7 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
         if inst.args.len() != 1 {
             return Err(ParseVerilogError {
                 line: inst.line,
-                message: format!("`{}` takes exactly one argument", inst.prim),
+                message: format!("`{}` takes exactly one argument", shown(&inst.prim)),
             });
         }
         let value = if inst.prim == "tie1" {
@@ -487,20 +508,20 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
     if let Some(inst) = remaining.first() {
         let unknown_prim = GateKind::from_verilog_name(&inst.prim).is_none();
         let msg = if unknown_prim {
-            format!("unknown primitive `{}`", inst.prim)
+            format!("unknown primitive `{}`", shown(&inst.prim))
         } else {
             let missing: Vec<&String> = inst.args[1..]
                 .iter()
                 .filter(|a| !created.contains_key(*a))
                 .collect();
+            let mut names: Vec<String> = missing.iter().take(8).map(|s| shown(s)).collect();
+            if missing.len() > names.len() {
+                names.push(format!("and {} more", missing.len() - names.len()));
+            }
             format!(
                 "instance `{}` reads undriven/undeclared net(s): {}",
-                inst.name,
-                missing
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                shown(&inst.name),
+                names.join(", ")
             )
         };
         return Err(ParseVerilogError {
@@ -519,13 +540,17 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
         if inst.args.len() != need {
             return Err(ParseVerilogError {
                 line: inst.line,
-                message: format!("`{}` takes {} arguments", inst.prim, need),
+                message: format!("`{}` takes {} arguments", shown(&inst.prim), need),
             });
         }
         let lookup = |name: &String| -> Result<NetId, ParseVerilogError> {
-            created.get(name).copied().ok_or(ParseVerilogError {
+            created.get(name).copied().ok_or_else(|| ParseVerilogError {
                 line: inst.line,
-                message: format!("flip-flop `{}` reads undriven net `{name}`", inst.name),
+                message: format!(
+                    "flip-flop `{}` reads undriven net `{}`",
+                    shown(&inst.name),
+                    shown(name)
+                ),
             })
         };
         let q_name = &inst.args[0];
@@ -558,7 +583,7 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseVerilogError> {
         let Some(&net) = created.get(&name) else {
             return Err(ParseVerilogError {
                 line: 0,
-                message: format!("output `{name}` is never driven"),
+                message: format!("output `{}` is never driven", shown(&name)),
             });
         };
         builder.register_output_port(net);
@@ -766,6 +791,25 @@ mod tests {
             endmodule";
         let err = parse_verilog(src).unwrap_err();
         assert!(err.message.contains("ghost"));
+    }
+
+    #[test]
+    fn errors_quote_at_most_64_characters_of_a_token() {
+        let long = "x".repeat(1 << 20);
+        for src in [
+            long.clone(),
+            format!("module m(a);\ninput a;\n{long} g0(a, a);\nendmodule"),
+            format!("module m(a, y);\ninput a; output y;\nand g0(y, a, {long});\nendmodule"),
+            format!("module m(a);\ninput a;\nwire {long};\nwire {long};\nendmodule"),
+            format!("module m(a, {long});\ninput a; output {long};\nendmodule"),
+        ] {
+            let err = parse_verilog(&src).unwrap_err();
+            let clipped = format!("{}…", "x".repeat(64));
+            assert!(err.message.contains(&clipped), "{}", shown(&err.message));
+            assert!(err.to_string().len() < 200, "{}", shown(&err.message));
+        }
+        assert_eq!(shown("ünïcödé"), "ünïcödé");
+        assert_eq!(shown(&"é".repeat(65)), format!("{}…", "é".repeat(64)));
     }
 
     #[test]

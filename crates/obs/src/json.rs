@@ -117,7 +117,11 @@ impl Value {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string literal: `"` and `\`
+/// are backslash-escaped, `\n`/`\r`/`\t` get their short escapes and
+/// every other control character a `\u00xx` escape. This is the one
+/// string escaper of the workspace; [`Value`]'s `Display` uses it too.
+pub fn quote_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -133,6 +137,13 @@ fn escape_into(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// `s` as a quoted JSON string literal; see [`quote_into`].
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    quote_into(&mut out, s);
+    out
 }
 
 impl fmt::Display for Value {
@@ -151,11 +162,7 @@ impl fmt::Display for Value {
             }
             // JSON has no NaN/Inf; null is the least-bad representation
             Value::Float(_) => f.write_str("null"),
-            Value::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                escape_into(&mut buf, s);
-                f.write_str(&buf)
-            }
+            Value::Str(s) => f.write_str(&quote(s)),
             Value::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -172,9 +179,7 @@ impl fmt::Display for Value {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    let mut buf = String::with_capacity(k.len() + 2);
-                    escape_into(&mut buf, k);
-                    write!(f, "{buf}:{v}")?;
+                    write!(f, "{}:{v}", quote(k))?;
                 }
                 f.write_str("}")
             }
@@ -200,6 +205,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -259,13 +265,23 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // copy the run of plain characters up to the next `"` or `\`
+            // as one slice: `src` is a `&str` and both stops are ASCII, so
+            // the run is whole characters and needs no validation
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // the run stopped at `\`: one escape sequence
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -294,20 +310,6 @@ impl<'a> Parser<'a> {
                         _ => return self.err("bad escape"),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| ParseError {
-                            offset: self.pos,
-                            message: "invalid UTF-8".into(),
-                        })?
-                        .chars()
-                        .next()
-                        .expect("peeked non-empty");
-                    out.push(s);
-                    self.pos += s.len_utf8();
                 }
             }
         }
@@ -399,6 +401,7 @@ impl<'a> Parser<'a> {
 /// Returns a [`ParseError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };

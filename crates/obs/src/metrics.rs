@@ -386,9 +386,54 @@ impl MetricsSnapshot {
         ])
     }
 
-    /// The snapshot rendered as one compact JSON document.
+    /// The snapshot rendered as one compact JSON document, byte for byte
+    /// [`to_json`](Self::to_json)`().to_string()`, but written straight
+    /// into one `String`: a server that has run thousands of jobs holds
+    /// thousands of labeled series, and a [`Value`] tree of them costs
+    /// several times the document.
     pub fn render_json(&self) -> String {
-        self.to_json().to_string()
+        use std::fmt::Write as _;
+        fn members<T>(
+            out: &mut String,
+            map: &BTreeMap<String, T>,
+            mut value: impl FnMut(&mut String, &T),
+        ) {
+            out.push('{');
+            for (i, (k, v)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                crate::json::quote_into(out, k);
+                out.push(':');
+                value(out, v);
+            }
+            out.push('}');
+        }
+        let mut out = String::new();
+        out.push_str("{\"counters\":");
+        members(&mut out, &self.counters, |out, &v| {
+            let _ = write!(out, "{}", Value::uint(v));
+        });
+        out.push_str(",\"gauges\":");
+        members(&mut out, &self.gauges, |out, &v| {
+            let _ = write!(out, "{}", Value::Float(v));
+        });
+        out.push_str(",\"histograms\":");
+        members(&mut out, &self.histograms, |out, h| {
+            let _ = write!(
+                out,
+                "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p99\":{}}}",
+                Value::uint(h.count),
+                Value::uint(h.sum),
+                Value::uint(h.min),
+                Value::uint(h.max),
+                Value::Float(h.mean),
+                Value::uint(h.p50),
+                Value::uint(h.p99),
+            );
+        });
+        out.push('}');
+        out
     }
 
     /// The snapshot in Prometheus text exposition format (version 0.0.4):
@@ -686,6 +731,35 @@ mod tests {
                 "bad family in `{line}`"
             );
         }
+    }
+
+    #[test]
+    fn streamed_json_equals_the_value_tree_rendering() {
+        let reg = Registry::new();
+        reg.counter("a.b").add(7);
+        reg.counter("huge").add(u64::MAX);
+        reg.counter_labeled(
+            "serve.http.requests",
+            &[("route", "/v1/jobs"), ("tenant", "q\"uo\\te\n")],
+        )
+        .add(3);
+        reg.gauge("g").set(1.5);
+        reg.gauge("whole").set(2.0);
+        reg.gauge("nan").set(f64::NAN);
+        reg.gauge("inf").set(f64::INFINITY);
+        reg.gauge("neg_inf").set(f64::NEG_INFINITY);
+        reg.gauge_labeled("cache.bytes", &[("job", "j-000001")])
+            .set(1e300);
+        let h = reg.histogram_labeled("span.campaign.nanos", &[("job", "j-000001")]);
+        h.record(100);
+        h.record(7_000_000);
+        reg.histogram("empty");
+        let snap = reg.snapshot();
+        assert_eq!(snap.render_json(), snap.to_json().to_string());
+        assert_eq!(
+            MetricsSnapshot::default().render_json(),
+            r#"{"counters":{},"gauges":{},"histograms":{}}"#
+        );
     }
 
     #[test]

@@ -5,21 +5,38 @@
 //! Two levels, both keyed deterministically:
 //!
 //! 1. **Design entries**, keyed by the FNV-1a 64 hash of the canonical
-//!    (re-serialized) Verilog — netlist + extracted zones.
+//!    (re-serialized) Verilog — netlist + extracted zones. The entry keeps
+//!    that canonical text, and a lookup hits only when the text matches
+//!    too: a design whose hash collides with a cached one gets an entry of
+//!    its own that is never cached, and counts as a miss.
 //! 2. **Spec bundles** inside each entry, keyed by
 //!    `(seed, cycles, checkpoint_interval, engine, collapse, prune)` —
 //!    workload, operational profile, fault list, and the shared
-//!    [`CampaignArtifacts`] (levelized topology, golden trace +
-//!    checkpoints, collapse dictionary, static prune plan). Worker threads
-//!    are deliberately **not** in the key: results are thread-count
-//!    invariant, so a 1-thread probe warms the cache for an 8-thread run.
+//!    [`CampaignArtifacts`] (golden trace + checkpoints, monitor lookups,
+//!    collapse dictionary, static prune plan). Worker threads are
+//!    deliberately **not** in the key: results are thread-count invariant,
+//!    so a 1-thread probe warms the cache for an 8-thread run.
 //!
 //! A warm bundle makes `Campaign::artifacts` skip every build phase — the
 //! invariant test asserts warm runs are bit-identical to cold ones.
-//! Entries are evicted least-recently-used once the byte budget
-//! (estimated via [`CampaignArtifacts::approx_bytes`]) is exceeded;
-//! running jobs keep evicted artifacts alive through their `Arc`s, the
-//! entry just stops being findable. Counters land in the server registry:
+//!
+//! The byte budget counts everything an entry holds: the netlist, the
+//! zones and the canonical source, and each bundle's workload, fault list,
+//! artifacts and shared trace ([`DesignEntry::approx_bytes`], within 5% of
+//! the live heap for every bundled example). Eviction runs in two
+//! passes after each admission and each new bundle:
+//!
+//! 1. **One-off designs first.** Designs that no later submission has hit
+//!    — a renamed netlist submitted once, say — are evicted least recently
+//!    used first for as long as they hold more than a tenth of the budget
+//!    (the probationary queue of S3-FIFO, Yang et al., SOSP 2023). A hit
+//!    promotes a design out of that share for good.
+//! 2. **Then least recently used** over every design, while the total is
+//!    over the budget.
+//!
+//! The newest admission is never evicted. Running jobs keep evicted
+//! artifacts alive through their `Arc`s; the entry just stops being
+//! findable. Counters land in the server registry:
 //! `serve.cache.{design,spec}.{hit,miss}`, `serve.cache.evict`,
 //! `serve.cache.bytes`, and `serve.build.{workload,faults,artifacts}` —
 //! the last trio is how tests prove a warm resubmission rebuilds nothing.
@@ -29,15 +46,20 @@ use crate::protocol::JobSpec;
 use socfmea_core::ZoneSet;
 use socfmea_faultsim::{
     generate_fault_list, CampaignArtifacts, Collapse, Engine, EnvironmentBuilder, Fault,
-    FaultListConfig, OperationalProfile, Prune,
+    FaultListConfig, OperationalProfile, Prune, ZoneActivity,
 };
 use socfmea_netlist::Netlist;
 use socfmea_obs::metrics::Registry;
 use socfmea_obs::{Observer, StreamBuffer};
 use socfmea_sim::Workload;
 use std::collections::BTreeMap;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Designs no later submission has hit may hold at most
+/// `1 / ONE_OFF_SHARE` of the budget.
+const ONE_OFF_SHARE: usize = 10;
 
 /// The cached half of a design: everything derivable from the netlist
 /// alone, plus the per-spec bundles.
@@ -49,7 +71,7 @@ pub struct DesignEntry {
     pub zones: ZoneSet,
     /// The canonical design key.
     pub key: u64,
-    source_bytes: usize,
+    canonical: String,
     specs: Mutex<BTreeMap<SpecKey, Arc<SpecBundle>>>,
     bytes: AtomicUsize,
 }
@@ -67,24 +89,24 @@ pub struct SpecBundle {
     /// The shared build products `Campaign::artifacts` consumes.
     pub artifacts: Arc<CampaignArtifacts>,
     /// The normalized `/trace` bytes of the first job on this bundle that
-    /// ended `done`; see [`share_trace`](Self::share_trace).
+    /// ended `done`; see [`DesignEntry::share_trace`].
     first_trace: Mutex<Option<Arc<[u8]>>>,
 }
 
 impl SpecBundle {
-    /// Lets the finished jobs of this bundle share one copy of their
-    /// trace. Call it only for a job that ended `done`, with its closed
-    /// `/trace` stream: the first such stream becomes the shared copy, and
-    /// a later one that equals it byte for byte drops its own buffer and
-    /// reads from that copy. A differing stream keeps its own bytes.
-    pub fn share_trace(&self, stream: &StreamBuffer) {
-        let mut first = self.first_trace.lock().expect("trace lock");
-        match &*first {
-            Some(bytes) => {
-                stream.share(bytes);
-            }
-            None => *first = stream.freeze(),
-        }
+    /// Heap bytes of the bundle, its shared trace aside.
+    fn approx_bytes(&self) -> usize {
+        size_of::<SpecBundle>()
+            + self.workload.heap_bytes()
+            + self.profile.zones.capacity() * size_of::<ZoneActivity>()
+            + self.faults.capacity() * size_of::<Fault>()
+            + self
+                .faults
+                .iter()
+                .map(|f| f.label.capacity())
+                .sum::<usize>()
+            + size_of::<CampaignArtifacts>()
+            + self.artifacts.approx_bytes()
     }
 }
 
@@ -110,11 +132,36 @@ fn spec_key(spec: &JobSpec) -> SpecKey {
 struct CachedDesign {
     entry: Arc<DesignEntry>,
     last_used: u64,
+    /// A submission after the admitting one found this design.
+    hit: bool,
 }
 
 struct Inner {
     designs: BTreeMap<u64, CachedDesign>,
     tick: u64,
+    /// The key of the newest admission, which is never evicted.
+    newest: Option<u64>,
+}
+
+impl Inner {
+    /// The least recently used design `pick` accepts, the newest
+    /// admission aside.
+    fn lru(&self, pick: impl Fn(&CachedDesign) -> bool) -> Option<u64> {
+        self.designs
+            .iter()
+            .filter(|&(k, d)| Some(*k) != self.newest && pick(d))
+            .min_by_key(|(_, d)| d.last_used)
+            .map(|(&k, _)| k)
+    }
+
+    /// Bytes of the designs `pick` accepts.
+    fn bytes(&self, pick: impl Fn(&CachedDesign) -> bool) -> usize {
+        self.designs
+            .values()
+            .filter(|d| pick(d))
+            .map(|d| d.entry.approx_bytes())
+            .sum()
+    }
 }
 
 /// The server-wide artifact cache; see the module docs.
@@ -125,8 +172,8 @@ pub struct ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// A cache holding at most ~`budget_bytes` of artifact estimates,
-    /// counting into `registry`.
+    /// A cache holding at most ~`budget_bytes` of entries (see
+    /// [`DesignEntry::approx_bytes`]), counting into `registry`.
     pub fn new(budget_bytes: usize, registry: Arc<Registry>) -> ArtifactCache {
         ArtifactCache {
             budget: budget_bytes,
@@ -134,36 +181,45 @@ impl ArtifactCache {
             inner: Mutex::new(Inner {
                 designs: BTreeMap::new(),
                 tick: 0,
+                newest: None,
             }),
         }
     }
 
     /// Looks up (or admits) the design entry for a resolved submission.
+    /// A cached entry is returned only when its canonical Verilog equals
+    /// the submission's; a design whose key collides with a different
+    /// cached one gets a fresh entry that is not cached.
     pub fn design(&self, resolved: ResolvedDesign) -> Arc<DesignEntry> {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(cached) = inner.designs.get_mut(&resolved.key) {
-            cached.last_used = tick;
-            self.registry.counter("serve.cache.design.hit").incr();
-            return Arc::clone(&cached.entry);
+        let key = resolved.key;
+        match inner.designs.get_mut(&key) {
+            Some(cached) if cached.entry.canonical == resolved.canonical => {
+                cached.last_used = tick;
+                cached.hit = true;
+                self.registry.counter("serve.cache.design.hit").incr();
+                return Arc::clone(&cached.entry);
+            }
+            Some(_) => {
+                // a different design under the same key: serve it uncached
+                self.registry.counter("serve.cache.design.miss").incr();
+                return Arc::new(DesignEntry::new(resolved));
+            }
+            None => {}
         }
         self.registry.counter("serve.cache.design.miss").incr();
-        let entry = Arc::new(DesignEntry {
-            bytes: AtomicUsize::new(resolved.source_bytes),
-            source_bytes: resolved.source_bytes,
-            netlist: resolved.netlist,
-            zones: resolved.zones,
-            key: resolved.key,
-            specs: Mutex::new(BTreeMap::new()),
-        });
+        let entry = Arc::new(DesignEntry::new(resolved));
         inner.designs.insert(
-            resolved.key,
+            key,
             CachedDesign {
                 entry: Arc::clone(&entry),
                 last_used: tick,
+                hit: false,
             },
         );
+        inner.newest = Some(key);
         self.evict_over_budget(&mut inner);
         entry
     }
@@ -206,7 +262,7 @@ impl ArtifactCache {
         let bundle = Arc::new(self.build_bundle(entry, spec, obs)?);
         entry
             .bytes
-            .fetch_add(bundle.artifacts.approx_bytes(), Ordering::Relaxed);
+            .fetch_add(bundle.approx_bytes(), Ordering::Relaxed);
         specs.insert(key, Arc::clone(&bundle));
         drop(specs);
         let mut inner = self.inner.lock().expect("cache lock");
@@ -275,27 +331,25 @@ impl ArtifactCache {
     }
 
     fn evict_over_budget(&self, inner: &mut Inner) {
-        loop {
-            let total: usize = inner
-                .designs
-                .values()
-                .map(|d| d.entry.bytes.load(Ordering::Relaxed))
-                .sum();
-            self.registry.gauge("serve.cache.bytes").set(total as f64);
-            if total <= self.budget || inner.designs.len() <= 1 {
-                return;
-            }
-            let newest = inner.designs.values().map(|d| d.last_used).max();
-            let lru = inner
-                .designs
-                .iter()
-                .filter(|(_, d)| Some(d.last_used) != newest)
-                .min_by_key(|(_, d)| d.last_used)
-                .map(|(&k, _)| k);
-            let Some(key) = lru else { return };
-            inner.designs.remove(&key);
-            self.registry.counter("serve.cache.evict").incr();
+        let one_off = |d: &CachedDesign| !d.hit;
+        while inner.bytes(one_off) > self.budget / ONE_OFF_SHARE {
+            let Some(key) = inner.lru(one_off) else { break };
+            self.evict(inner, key);
         }
+        while inner.bytes(|_| true) > self.budget {
+            let Some(key) = inner.lru(|_| true) else {
+                break;
+            };
+            self.evict(inner, key);
+        }
+        self.registry
+            .gauge("serve.cache.bytes")
+            .set(inner.bytes(|_| true) as f64);
+    }
+
+    fn evict(&self, inner: &mut Inner, key: u64) {
+        inner.designs.remove(&key);
+        self.registry.counter("serve.cache.evict").incr();
     }
 
     /// Designs currently cached.
@@ -305,14 +359,47 @@ impl ArtifactCache {
 }
 
 impl DesignEntry {
-    /// The entry's current byte estimate (canonical source + artifacts).
+    fn new(resolved: ResolvedDesign) -> DesignEntry {
+        let bytes = size_of::<DesignEntry>()
+            + resolved.netlist.heap_bytes()
+            + resolved.zones.heap_bytes()
+            + resolved.canonical.capacity();
+        DesignEntry {
+            netlist: resolved.netlist,
+            zones: resolved.zones,
+            key: resolved.key,
+            canonical: resolved.canonical,
+            specs: Mutex::new(BTreeMap::new()),
+            bytes: AtomicUsize::new(bytes),
+        }
+    }
+
+    /// The entry's byte estimate, the currency of the cache budget: the
+    /// netlist, the zones and the canonical source, plus each spec
+    /// bundle's workload, profile, fault list and artifacts and its shared
+    /// trace.
     pub fn approx_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Bytes of the canonical Verilog alone.
-    pub fn source_bytes(&self) -> usize {
-        self.source_bytes
+    /// Lets the finished jobs of `bundle` (one of this entry's) share one
+    /// copy of their trace. Call it only for a job that ended `done`, with
+    /// its closed `/trace` stream: the first such stream becomes the
+    /// shared copy, and counts in [`approx_bytes`](Self::approx_bytes); a
+    /// later one that equals it byte for byte drops its own buffer and
+    /// reads from that copy. A differing stream keeps its own bytes.
+    pub fn share_trace(&self, bundle: &SpecBundle, stream: &StreamBuffer) {
+        let mut first = bundle.first_trace.lock().expect("trace lock");
+        match &*first {
+            Some(bytes) => {
+                stream.share(bytes);
+            }
+            None => {
+                *first = stream.freeze();
+                let held = first.as_ref().map_or(0, |bytes| bytes.len());
+                self.bytes.fetch_add(held, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -329,6 +416,7 @@ impl std::fmt::Debug for ArtifactCache {
 mod tests {
     use super::*;
     use crate::design::resolve;
+    use crate::protocol::DesignRef;
 
     fn spec(example: &str, seed: u64) -> JobSpec {
         JobSpec::parse(&format!(
@@ -380,6 +468,112 @@ mod tests {
         let b =
             JobSpec::parse(r#"{"example":"fmem","cycles":8,"threads":7,"tenant":"x"}"#).unwrap();
         assert_eq!(spec_key(&a), spec_key(&b));
+    }
+
+    /// A one-gate design named `name`: a cheap, distinct cache entry
+    /// (names of one length give entries of one size).
+    fn tiny(name: &str) -> ResolvedDesign {
+        resolve(&DesignRef::Verilog(format!(
+            "module {name}(a, y); input a; output y; buf g0(y, a); endmodule"
+        )))
+        .unwrap()
+    }
+
+    /// A cache whose budget holds `tenths` / 10 entries of [`tiny`]'s
+    /// size, so its one-off share holds `tenths` / 100 of them.
+    fn cache_of(tenths: usize) -> (ArtifactCache, Arc<Registry>) {
+        let unit = ArtifactCache::new(usize::MAX, Arc::new(Registry::new()))
+            .design(tiny("unit"))
+            .approx_bytes();
+        let reg = Arc::new(Registry::new());
+        (
+            ArtifactCache::new(unit * tenths / 10, Arc::clone(&reg)),
+            reg,
+        )
+    }
+
+    /// Names of the cached designs, sorted.
+    fn cached(cache: &ArtifactCache) -> Vec<String> {
+        let inner = cache.inner.lock().unwrap();
+        let mut names: Vec<String> = inner
+            .designs
+            .values()
+            .map(|d| d.entry.netlist.name().to_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn one_off_designs_are_evicted_least_recently_used_first_while_a_hit_design_stays() {
+        // a budget of 25 entries: the one-off share holds 2.5 of them
+        let (cache, reg) = cache_of(250);
+        cache.design(tiny("hot0"));
+        cache.design(tiny("hot0"));
+        cache.design(tiny("d001"));
+        cache.design(tiny("d002"));
+        assert_eq!(count(&reg, "serve.cache.evict"), 0);
+        cache.design(tiny("d003"));
+        assert_eq!(cached(&cache), ["d002", "d003", "hot0"]);
+        cache.design(tiny("d004"));
+        assert_eq!(cached(&cache), ["d003", "d004", "hot0"]);
+        assert_eq!(count(&reg, "serve.cache.evict"), 2);
+        assert_eq!(count(&reg, "serve.cache.design.hit"), 1);
+    }
+
+    #[test]
+    fn a_hit_promotes_a_design_out_of_the_one_off_share() {
+        let (cache, _) = cache_of(250);
+        cache.design(tiny("b000"));
+        cache.design(tiny("c000"));
+        cache.design(tiny("b000"));
+        for name in ["d000", "e000", "f000"] {
+            cache.design(tiny(name));
+        }
+        // b is now the least recently used design of all, yet it stays:
+        // only one-offs compete for the share while the budget has room
+        assert_eq!(cached(&cache), ["b000", "e000", "f000"]);
+    }
+
+    #[test]
+    fn the_newest_admission_stays_even_when_it_alone_is_over_the_share() {
+        // a budget of 5 entries: the one-off share holds half of one
+        let (cache, reg) = cache_of(50);
+        cache.design(tiny("a000"));
+        assert_eq!(cached(&cache), ["a000"]);
+        cache.design(tiny("b000"));
+        assert_eq!(cached(&cache), ["b000"]);
+        cache.design(tiny("b000"));
+        cache.design(tiny("c000"));
+        assert_eq!(cached(&cache), ["b000", "c000"]);
+        assert_eq!(count(&reg, "serve.cache.evict"), 1);
+    }
+
+    #[test]
+    fn a_key_collision_gets_its_own_uncached_entry_and_counts_as_a_miss() {
+        let reg = Arc::new(Registry::new());
+        let cache = ArtifactCache::new(usize::MAX, Arc::clone(&reg));
+        let left = cache.design(tiny("left"));
+        let forced = |name: &str| ResolvedDesign {
+            key: left.key,
+            ..tiny(name)
+        };
+        let right = cache.design(forced("rght"));
+        assert!(!Arc::ptr_eq(&left, &right));
+        assert_eq!(right.netlist.name(), "rght");
+        assert_eq!(right.key, left.key);
+        assert_eq!(count(&reg, "serve.cache.design.miss"), 2);
+        assert_eq!(cache.designs_cached(), 1);
+        // the cached design still hits; the colliding one never does
+        assert!(Arc::ptr_eq(&left, &cache.design(tiny("left"))));
+        assert!(!Arc::ptr_eq(&right, &cache.design(forced("rght"))));
+        assert_eq!(count(&reg, "serve.cache.design.hit"), 1);
+        assert_eq!(count(&reg, "serve.cache.design.miss"), 3);
+        // the canonical text the lookup compares counts in the entry
+        assert!(
+            left.approx_bytes()
+                >= left.canonical.len() + left.netlist.heap_bytes() + left.zones.heap_bytes()
+        );
     }
 
     #[test]

@@ -104,8 +104,10 @@ pub struct ResolvedDesign {
     /// key separately — net naming differs between the two front ends —
     /// which costs cache sharing, never correctness.)
     pub key: u64,
-    /// Bytes of the canonical source (the cache's size estimate).
-    pub source_bytes: usize,
+    /// The canonical (re-serialized) Verilog the key hashes. The cache
+    /// compares it on a key match, so a hash collision never shares
+    /// artifacts between two designs.
+    pub canonical: String,
 }
 
 /// Resolves a design reference into netlist + zones + canonical key.
@@ -128,7 +130,7 @@ pub fn resolve(design: &DesignRef) -> Result<ResolvedDesign, String> {
     let zones = extract_zones(&netlist, &config);
     Ok(ResolvedDesign {
         key: fnv1a64(canonical.as_bytes()),
-        source_bytes: canonical.len(),
+        canonical,
         netlist,
         zones,
     })

@@ -136,17 +136,18 @@ pub struct Response {
 
 impl Response {
     /// A JSON response with the given status.
-    pub fn json(status: u16, body: &str) -> Response {
+    pub fn json(status: u16, body: impl Into<String>) -> Response {
         Response::text(status, "application/json", body)
     }
 
     /// A response with an explicit content type (the Prometheus
-    /// text-exposition `/v1/metrics` body uses `text/plain`).
-    pub fn text(status: u16, content_type: &str, body: &str) -> Response {
+    /// text-exposition `/v1/metrics` body uses `text/plain`). An owned
+    /// `body` becomes the response without a copy.
+    pub fn text(status: u16, content_type: &str, body: impl Into<String>) -> Response {
         Response {
             status,
             headers: vec![("content-type".into(), content_type.into())],
-            body: body.as_bytes().to_vec(),
+            body: body.into().into_bytes(),
         }
     }
 

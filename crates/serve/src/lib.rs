@@ -9,13 +9,16 @@
 //! trace live as chunked JSONL.
 //!
 //! The core leverage is the **artifact cache** ([`cache::ArtifactCache`]):
-//! everything expensive and reusable about a design — topology context,
+//! everything expensive and reusable about a design — netlist and zones,
 //! golden trace and checkpoints, collapse plan, static prune plans — is
 //! built once, keyed by the design hash (FNV-1a over the *re-serialized*
-//! netlist, so formatting differences do not fragment the cache), and
+//! netlist, so formatting differences do not fragment the cache, with the
+//! canonical text compared on a hit so a collision never shares), and
 //! shared via `Arc` across every job that targets the same netlist.
-//! Cache hits and misses are counted in the metrics registry, an LRU
-//! byte budget bounds residency, and a warm run is bit-identical to a
+//! Cache hits and misses are counted in the metrics registry. A byte
+//! budget that counts everything an entry holds bounds residency: designs
+//! no later submission has hit are evicted first once they hold a tenth
+//! of it, then least recently used. A warm run is bit-identical to a
 //! cold one — also to `socfmea inject` with the same spec — because all
 //! cached artifacts are pure functions of `(design, spec)` and the
 //! campaign core is deterministic for any thread count.
@@ -37,7 +40,7 @@
 //! | [`http`] | minimal std-only HTTP/1.1 (requests, responses, chunked streaming, client) |
 //! | [`protocol`] | the job-spec JSON dialect and error documents |
 //! | [`design`] | bundled examples, Verilog resolution, design keys, the deterministic workload |
-//! | [`cache`] | the design-keyed artifact cache with LRU byte-budget eviction |
+//! | [`cache`] | the design-keyed artifact cache: honest byte budget, one-off designs evicted first, then LRU |
 //! | [`scheduler`] | the bounded tenant-fair queue |
 //! | [`job`] | job lifecycle, live stream + events buffers, the job table |
 //! | [`server`] | accept loop, routes, worker pool, the campaign runner |

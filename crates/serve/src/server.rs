@@ -192,12 +192,12 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     match Request::read_from(&mut reader) {
         Err(None) | Err(Some(RequestError::Io(_))) => {}
         Err(Some(RequestError::Bad(msg))) => {
-            let _ = Response::json(400, &error_doc(&msg)).write_to(&mut out);
+            let _ = Response::json(400, error_doc(&msg)).write_to(&mut out);
         }
         Err(Some(RequestError::TooLarge(n))) => {
             let _ = Response::json(
                 413,
-                &error_doc(&format!(
+                error_doc(&format!(
                     "body of {n} bytes exceeds the {} byte limit",
                     crate::http::MAX_BODY_BYTES
                 )),
@@ -262,12 +262,14 @@ fn dispatch(shared: &Arc<Shared>, req: &Request, path: &str, query: &str, mut ou
         ("GET", "/v1/healthz") => respond(&mut out, 200, &healthz_doc(shared)),
         ("GET", "/v1/metrics") => {
             let snap = shared.registry.snapshot();
-            if query.split('&').any(|kv| kv == "format=json") {
-                respond(&mut out, 200, &snap.render_json());
+            let response = if query.split('&').any(|kv| kv == "format=json") {
+                Response::json(200, snap.render_json())
             } else {
-                let _ = Response::text(200, "text/plain; version=0.0.4", &snap.render_prometheus())
-                    .write_to(&mut out);
-            }
+                Response::text(200, "text/plain; version=0.0.4", snap.render_prometheus())
+            };
+            // the snapshot copies every series: free it before the write
+            drop(snap);
+            let _ = response.write_to(&mut out);
         }
         ("POST", "/v1/admin/shutdown") => {
             respond(&mut out, 200, r#"{"ok":true,"state":"draining"}"#);
@@ -303,14 +305,14 @@ fn submit(shared: &Arc<Shared>, req: &Request, out: &mut TcpStream) {
     let spec = match JobSpec::parse(&body) {
         Ok(spec) => spec,
         Err(msg) => {
-            let _ = Response::json(400, &error_doc(&msg)).write_to(out);
+            let _ = Response::json(400, error_doc(&msg)).write_to(out);
             return;
         }
     };
     let resolved = match design::resolve(&spec.design) {
         Ok(resolved) => resolved,
         Err(msg) => {
-            let _ = Response::json(400, &error_doc(&msg)).write_to(out);
+            let _ = Response::json(400, error_doc(&msg)).write_to(out);
             return;
         }
     };
@@ -338,7 +340,7 @@ fn submit(shared: &Arc<Shared>, req: &Request, out: &mut TcpStream) {
             vec![("error", Value::Str("rejected: queue full".into()))],
         ));
         job.events.close();
-        let _ = Response::json(429, &error_doc("queue full, retry later"))
+        let _ = Response::json(429, error_doc("queue full, retry later"))
             .header("retry-after", full.retry_after)
             .write_to(out);
         return;
@@ -349,12 +351,12 @@ fn submit(shared: &Arc<Shared>, req: &Request, out: &mut TcpStream) {
         ("design_key", Value::Str(format!("{:016x}", job.design_key))),
         ("state", Value::Str("queued".into())),
     ]);
-    let _ = Response::json(202, &doc.to_string()).write_to(out);
+    let _ = Response::json(202, doc.to_string()).write_to(out);
 }
 
 fn cancel(shared: &Arc<Shared>, id: &str, out: &mut TcpStream) {
     let Some(job) = shared.jobs.get(id) else {
-        let _ = Response::json(404, &error_doc(&format!("no such job `{id}`"))).write_to(out);
+        let _ = Response::json(404, error_doc(&format!("no such job `{id}`"))).write_to(out);
         return;
     };
     let accepted = job.request_cancel();
@@ -381,7 +383,7 @@ fn cancel(shared: &Arc<Shared>, id: &str, out: &mut TcpStream) {
             },
         ),
     ]);
-    let _ = Response::json(200, &doc.to_string()).write_to(out);
+    let _ = Response::json(200, doc.to_string()).write_to(out);
 }
 
 fn stream_job(
@@ -391,7 +393,7 @@ fn stream_job(
     buffer: impl Fn(&Job) -> &Arc<StreamBuffer>,
 ) {
     let Some(job) = shared.jobs.get(id) else {
-        let _ = Response::json(404, &error_doc(&format!("no such job `{id}`"))).write_to(&mut out);
+        let _ = Response::json(404, error_doc(&format!("no such job `{id}`"))).write_to(&mut out);
         return;
     };
     let stream = Arc::clone(buffer(&job));
@@ -678,7 +680,7 @@ fn run_job(
         "cancelled"
     } else {
         shared.registry.counter("serve.jobs.completed").incr();
-        bundle.share_trace(&job.stream);
+        design.share_trace(&bundle, &job.stream);
         job.finish(JobState::Done(summary));
         "done"
     };

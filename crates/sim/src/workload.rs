@@ -48,6 +48,17 @@ pub struct Workload {
 }
 
 impl Workload {
+    /// Heap bytes of the name and the per-cycle input lists.
+    pub fn heap_bytes(&self) -> usize {
+        self.name.capacity()
+            + self.cycles.capacity() * std::mem::size_of::<Vec<(NetId, Logic)>>()
+            + self
+                .cycles
+                .iter()
+                .map(|c| c.capacity() * std::mem::size_of::<(NetId, Logic)>())
+                .sum::<usize>()
+    }
+
     /// Creates an empty workload.
     pub fn new(name: impl Into<String>) -> Workload {
         Workload {

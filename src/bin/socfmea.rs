@@ -320,8 +320,8 @@ fn render_testability_text(
 }
 
 /// The `analyze --format json` document: worksheet summary plus the same
-/// per-zone testability table the text format appends. Hand-rolled JSON in
-/// the style of the lint report (no serialization dependency).
+/// per-zone testability table the text format appends, in the style of the
+/// lint report (strings escaped by `socfmea_obs::json`).
 fn render_analyze_json(
     netlist: &Netlist,
     zones: &soc_fmea::fmea::ZoneSet,
@@ -337,10 +337,10 @@ fn render_analyze_json(
         total += t.sites;
         let opt = |v: Option<u32>| v.map_or("null".to_owned(), |x| x.to_string());
         zone_docs.push(format!(
-            "{{\"name\":\"{}\",\"lambda_fit\":{:.4},\"dc\":{},\"sff\":{},\
+            "{{\"name\":{},\"lambda_fit\":{:.4},\"dc\":{},\"sff\":{},\
              \"sites\":{},\"constant\":{},\"unobservable\":{},\"live\":{},\
              \"co_max\":{},\"seq_max\":{}}}",
-            json_escape(&z.name),
+            json::quote(&z.name),
             result.zone_totals[z.id.index()].total().0,
             num(result.zone_dc(z.id)),
             num(result.zone_sff(z.id)),
@@ -353,10 +353,10 @@ fn render_analyze_json(
         ));
     }
     format!(
-        "{{\"design\":\"{}\",\"hft\":{},\"subsystem\":\"{:?}\",\"sff\":{},\"dc\":{},\
+        "{{\"design\":{},\"hft\":{},\"subsystem\":\"{:?}\",\"sff\":{},\"dc\":{},\
          \"sil\":{},\"monitored_outputs\":{},\"dead_sites\":{},\"total_sites\":{},\
          \"zones\":[{}]}}",
-        json_escape(netlist.name()),
+        json::quote(netlist.name()),
         result.hft.0,
         result.subsystem,
         num(result.sff()),
@@ -369,23 +369,6 @@ fn render_analyze_json(
         total,
         zone_docs.join(",")
     )
-}
-
-/// Minimal JSON string escaping (mirrors the lint crate's).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The protocol name of a bundled example (the CLI and the serve crate

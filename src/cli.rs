@@ -96,7 +96,10 @@ serve options:
   --addr <host:port>         listen address (default: 127.0.0.1:7171)
   --workers <n>              concurrent campaign workers (default: 2)
   --queue <n>                queued-job cap before 429 (default: 64)
-  --cache-mb <n>             artifact-cache byte budget in MiB (default: 256)
+  --cache-mb <n>             artifact-cache budget in MiB (default: 256),
+                             counting each design's netlist, zones, source
+                             and per-spec workload, faults, artifacts and
+                             trace; designs never hit again get a tenth
   --no-telemetry             skip per-job spans, progress samples, and
                              labeled metrics (lifecycle events remain)
 submit options (plus --seed/--cycles/--engine/--checkpoint-interval/
@@ -153,7 +156,8 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Queued-job cap before submissions draw 429.
     pub queue: usize,
-    /// Artifact-cache byte budget, in MiB.
+    /// Artifact-cache byte budget, in MiB: everything a cached design
+    /// holds counts, and designs no later submission hit share a tenth.
     pub cache_mb: usize,
     /// Per-job telemetry (spans, progress samples, labeled metrics);
     /// `--no-telemetry` turns it off, lifecycle events remain.
