@@ -103,12 +103,14 @@ impl ExecContext {
 }
 
 /// The kernel one campaign worker owns, built once and reset between
-/// faults or words.
+/// faults or words. Boxed: a worker holds one, and the word kernel's
+/// compiled program and event bookkeeping make it several times the
+/// scalar simulator's size.
 pub(crate) enum Kernels<'a> {
     /// The scalar reference simulator of a lockstep worker.
-    Lockstep(Simulator<'a>),
+    Lockstep(Box<Simulator<'a>>),
     /// The word of an accelerated worker.
-    Word(WordSim<'a>),
+    Word(Box<WordSim<'a>>),
 }
 
 impl<'a> Kernels<'a> {
@@ -120,9 +122,13 @@ impl<'a> Kernels<'a> {
     /// Panics if the netlist cannot be levelized.
     pub(crate) fn new(netlist: &'a Netlist, accelerated: bool) -> Kernels<'a> {
         if accelerated {
-            Kernels::Word(WordSim::new(netlist).expect("levelizable netlist"))
+            Kernels::Word(Box::new(
+                WordSim::new(netlist).expect("levelizable netlist"),
+            ))
         } else {
-            Kernels::Lockstep(Simulator::new(netlist).expect("levelizable netlist"))
+            Kernels::Lockstep(Box::new(
+                Simulator::new(netlist).expect("levelizable netlist"),
+            ))
         }
     }
 
@@ -130,7 +136,7 @@ impl<'a> Kernels<'a> {
     /// state is reset by every fault or word anyway.
     pub(crate) fn fork(&self) -> Kernels<'a> {
         match self {
-            Kernels::Lockstep(sim) => Kernels::Lockstep(sim.clone_fresh()),
+            Kernels::Lockstep(sim) => Kernels::Lockstep(Box::new(sim.clone_fresh())),
             Kernels::Word(word) => Kernels::Word(word.clone()),
         }
     }

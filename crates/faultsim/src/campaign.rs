@@ -25,7 +25,7 @@ use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
 use crate::inject::{simulate_scalar, CampaignResult, FaultOutcome, Outcome};
 use crate::monitors::CoverageCollection;
-use crate::ppsfp;
+use crate::ppsfp::{self, WordWork};
 use crate::prune::PrunePlan;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -174,6 +174,11 @@ pub struct CampaignStats {
     /// Word-level cycle evaluations across all PPSFP batches (one per
     /// cycle a batch ran — each answers every packed lane at once).
     ppsfp_words: AtomicU64,
+    /// Gate outputs the word kernel recomputed across all PPSFP batches.
+    gate_evals: AtomicU64,
+    /// Flip-flop states the word kernel recomputed across all PPSFP
+    /// batches.
+    ff_updates: AtomicU64,
     /// Nanoseconds from `anchor` to run start / end; `u64::MAX` = not yet.
     started_nanos: AtomicU64,
     finished_nanos: AtomicU64,
@@ -202,6 +207,8 @@ impl CampaignStats {
             ppsfp_batches: AtomicU64::new(0),
             ppsfp_lanes: AtomicU64::new(0),
             ppsfp_words: AtomicU64::new(0),
+            gate_evals: AtomicU64::new(0),
+            ff_updates: AtomicU64::new(0),
             started_nanos: AtomicU64::new(u64::MAX),
             finished_nanos: AtomicU64::new(u64::MAX),
             cancelled: AtomicBool::new(false),
@@ -252,12 +259,16 @@ impl CampaignStats {
         self.done.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Accounts one finished PPSFP batch: `lanes` faults answered by
-    /// `words` word-level cycle evaluations.
-    fn record_ppsfp_batch(&self, lanes: u64, words: u64) {
+    /// Accounts one finished PPSFP batch: `lanes` faults answered by the
+    /// kernel work of one word.
+    fn record_ppsfp_batch(&self, lanes: u64, work: &WordWork) {
         self.ppsfp_batches.fetch_add(1, Ordering::Relaxed);
         self.ppsfp_lanes.fetch_add(lanes, Ordering::Relaxed);
-        self.ppsfp_words.fetch_add(words, Ordering::Relaxed);
+        self.ppsfp_words.fetch_add(work.cycles, Ordering::Relaxed);
+        self.gate_evals
+            .fetch_add(work.gate_evals, Ordering::Relaxed);
+        self.ff_updates
+            .fetch_add(work.ff_updates, Ordering::Relaxed);
     }
 
     /// Records a dictionary-annotated outcome: the per-class tallies
@@ -418,6 +429,20 @@ impl CampaignStats {
         self.ppsfp_words.load(Ordering::Relaxed)
     }
 
+    /// Gate outputs the word kernel recomputed so far: every gate of a
+    /// plain walk, the scheduled gates of an event-driven one (0 on the
+    /// lockstep engine). A pure function of the fault list, like
+    /// [`ppsfp_words`](Self::ppsfp_words).
+    pub fn gate_evals(&self) -> u64 {
+        self.gate_evals.load(Ordering::Relaxed)
+    }
+
+    /// Flip-flop states the word kernel recomputed at clock edges so far
+    /// (0 on the lockstep engine).
+    pub fn ff_updates(&self) -> u64 {
+        self.ff_updates.load(Ordering::Relaxed)
+    }
+
     /// Mean fault lanes per PPSFP batch so far (the packing efficiency
     /// against the [`FAULT_LANES`] ceiling), or 0.0 before any batch ran.
     pub fn ppsfp_lanes_per_word(&self) -> f64 {
@@ -500,6 +525,8 @@ impl CampaignStats {
             ppsfp_batches: self.ppsfp_batches(),
             ppsfp_lanes: self.ppsfp_lanes(),
             ppsfp_lanes_per_word: self.ppsfp_lanes_per_word(),
+            ppsfp_gate_evals: self.gate_evals(),
+            ppsfp_ff_updates: self.ff_updates(),
         }
     }
 
@@ -1174,6 +1201,10 @@ impl<'a> Campaign<'a> {
                     .add(self.stats.ppsfp_lanes());
                 obs.counter("campaign.ppsfp.words")
                     .add(self.stats.ppsfp_words());
+                obs.counter("campaign.ppsfp.gate_evals")
+                    .add(self.stats.gate_evals());
+                obs.counter("campaign.ppsfp.ff_updates")
+                    .add(self.stats.ff_updates());
                 obs.gauge("campaign.ppsfp.lanes_per_word")
                     .set(self.stats.ppsfp_lanes_per_word());
             }
@@ -1330,12 +1361,13 @@ impl<'a> Campaign<'a> {
                     .map(|&p| (order[p], &self.faults[order[p]]))
                     .collect();
                 let t0 = Instant::now();
-                let (fos, cycles) = ppsfp::simulate_batch(self.env, ctx, word, &batch, cancel);
+                let (fos, work) = ppsfp::simulate_batch(self.env, ctx, word, &batch, cancel);
                 let nanos = t0.elapsed().as_nanos() as u64;
                 if self.is_cancelled() {
                     return out;
                 }
-                self.stats.record_ppsfp_batch(batch.len() as u64, cycles);
+                self.stats.record_ppsfp_batch(batch.len() as u64, &work);
+                let cycles = work.cycles;
                 // Per-fault attribution of the shared batch: the first lane
                 // carries the evaluated cycles (the word walk ran once), the
                 // others ride along for free; wall-clock splits evenly with
@@ -2548,6 +2580,71 @@ mod tests {
         assert!(stats.is_cancelled());
         // whatever was committed is the exact in-order prefix of a full run
         assert_eq!(result.outcomes, full.outcomes[..result.outcomes.len()]);
+    }
+
+    #[test]
+    fn kernel_work_counts_repeat_across_threads_and_stay_below_full_walks() {
+        // a 16-bit parity-protected register on a low-activity workload
+        // (the data input changes every 8 cycles), and a list without
+        // bridges (a bridged word walks every gate every cycle)
+        let mut r = RtlBuilder::new("wide");
+        let d = r.input_word("d", 16);
+        r.push_block("regs");
+        let q = r.register("data", &d, None, None);
+        let pin = r.parity(&d);
+        let pq = r.register_bit("par", pin, None, None);
+        r.pop_block();
+        let pout = r.parity(&q);
+        let perr = r.xor2_bit(pout, pq);
+        r.output_word("o", &q);
+        r.output("alarm_parity", perr);
+        let nl = r.finish().unwrap();
+        let zones = extract_zones(&nl, &ExtractConfig::default());
+        let mut w = Workload::new("slow count");
+        for c in 0..48u64 {
+            let mut v = Vec::new();
+            assign_bus(&mut v, d.bits(), (c / 8).wrapping_mul(0x9e37) & 0xffff);
+            w.push_cycle(v);
+        }
+        let env = EnvironmentBuilder::new(&nl, &zones, &w)
+            .alarms_matching("alarm_")
+            .build();
+        let faults: Vec<Fault> = fault_list(&env)
+            .into_iter()
+            .filter(|f| !matches!(f.kind, FaultKind::Bridge { .. }))
+            .collect();
+        let counts = |threads| {
+            let (obs, _buf) = traced_observer();
+            let campaign = Campaign::new(&env, &faults)
+                .engine(Engine::Ppsfp)
+                .threads(threads)
+                .observe(&obs);
+            let stats = campaign.stats();
+            let _ = campaign.run();
+            let snap = obs.metrics_snapshot();
+            obs.finish().unwrap();
+            assert_eq!(
+                snap.counters["campaign.ppsfp.gate_evals"],
+                stats.gate_evals()
+            );
+            assert_eq!(
+                snap.counters["campaign.ppsfp.ff_updates"],
+                stats.ff_updates()
+            );
+            (stats.ppsfp_words(), stats.gate_evals(), stats.ff_updates())
+        };
+        let (words, gate_evals, ff_updates) = counts(1);
+        assert_eq!(counts(3), (words, gate_evals, ff_updates));
+        assert!(
+            gate_evals < words * nl.gate_count() as u64,
+            "{gate_evals} gate evals in {words} word-cycles"
+        );
+        assert!(
+            ff_updates < words * nl.dff_count() as u64,
+            "{ff_updates} flip-flop updates in {words} word-cycles"
+        );
+        // the counts are exact: a change in the kernel's walk shows here
+        assert_eq!((words, gate_evals, ff_updates), (48, 499, 325));
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! the golden lane is not `1` — and of those only the lanes not yet
 //! reported for that net.
 //!
+//! The scan reads only the watched nets whose planes the cycle's
+//! evaluation changed ([`WordSim::changed_nets`], looked up through a
+//! per-word slot table), and every watched net after a plain walk. That is
+//! exact: both masks are functions of the net's planes, so a net whose
+//! planes did not change shows the lanes it showed at its last scan, all
+//! of them reported then, and the oracle's
+//! [`observe`](crate::monitors::MonitorOracle::observe) is idempotent and
+//! order-independent within a cycle.
+//!
 //! Every fault kind rides a lane through its [`WordSim`] hook, armed at the
 //! fault's inject cycle at the point where the lockstep engine calls
 //! `apply_fault`: a stuck-at pins its net (`X` included), a glitch pins it
@@ -65,9 +74,45 @@ fn arm(word: &mut WordSim<'_>, lane: usize, fault: &Fault, cycle: usize) {
     }
 }
 
+/// What one word cost the kernel: a pure function of the batch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WordWork {
+    /// Cycles the word evaluated.
+    pub(crate) cycles: u64,
+    /// Gate outputs the kernel recomputed ([`WordSim::gate_evals`]).
+    pub(crate) gate_evals: u64,
+    /// Flip-flop states the kernel recomputed ([`WordSim::ff_updates`]).
+    pub(crate) ff_updates: u64,
+}
+
+/// Reports one watched net's lanes not yet reported to the oracle.
+#[inline]
+fn scan(
+    ctx: &ExecContext,
+    word: &WordSim<'_>,
+    lanes: &mut [Readings],
+    cycle: usize,
+    net: NetId,
+    (seen_diverged, seen_asserted): &mut (u64, u64),
+    live: u64,
+) {
+    let diverged = if word.golden_known(net) {
+        (word.diff_mask(net) >> 1) & live
+    } else {
+        0
+    };
+    let ones = word.one_mask(net);
+    let asserted = if ones & 1 == 0 { (ones >> 1) & live } else { 0 };
+    let (new_diverged, new_asserted) = (diverged & !*seen_diverged, asserted & !*seen_asserted);
+    *seen_diverged |= diverged;
+    *seen_asserted |= asserted;
+    ctx.oracle
+        .observe(lanes, cycle, net, new_diverged, new_asserted);
+}
+
 /// Simulates one batch of up to [`FAULT_LANES`] faults against the shared
 /// workload, returning one [`FaultOutcome`] per fault in batch order and
-/// the number of cycles the word evaluated.
+/// the kernel work the word cost.
 ///
 /// `word` is reused across batches: the function loads it from the golden
 /// trace (clearing previous lane faults) first, so a campaign worker pays
@@ -82,7 +127,7 @@ pub(crate) fn simulate_batch(
     word: &mut WordSim<'_>,
     batch: &[(usize, &Fault)],
     cancel: Option<&AtomicBool>,
-) -> (Vec<FaultOutcome>, u64) {
+) -> (Vec<FaultOutcome>, WordWork) {
     assert!(
         !batch.is_empty() && batch.len() <= FAULT_LANES,
         "a PPSFP batch holds 1..={FAULT_LANES} faults, got {}",
@@ -100,6 +145,11 @@ pub(crate) fn simulate_batch(
     // oracle has already seen. Every reading it keeps is a flag, a set
     // insert or a first cycle, so a repeat report would change nothing.
     let mut reported = vec![(0u64, 0u64); watched.len()];
+    // The slot of every watched net in `watched`, by net index.
+    let mut slot = vec![u32::MAX; env.netlist.net_count()];
+    for (k, net) in watched.iter().enumerate() {
+        slot[net.index()] = k as u32;
+    }
     // Every lane is golden before the first arming, and nothing is armed
     // after the last one.
     let inject = || batch.iter().map(|&(_, f)| f.inject_cycle);
@@ -107,6 +157,7 @@ pub(crate) fn simulate_batch(
     if start < env.workload.len() {
         word.load_golden(start as u64, ctx.trace.row(start));
     }
+    let (gate_evals, ff_updates) = (word.gate_evals(), word.ff_updates());
     let mut simulated = 0;
 
     for (cycle, inputs) in env.workload.iter().enumerate().skip(start) {
@@ -124,23 +175,27 @@ pub(crate) fn simulate_batch(
         }
         word.eval();
         simulated += 1;
-        for (&net, (seen_diverged, seen_asserted)) in watched.iter().zip(&mut reported) {
-            let diverged = if word.golden_known(net) {
-                (word.diff_mask(net) >> 1) & live
-            } else {
-                0
-            };
-            let ones = word.one_mask(net);
-            let asserted = if ones & 1 == 0 { (ones >> 1) & live } else { 0 };
-            let (new_diverged, new_asserted) =
-                (diverged & !*seen_diverged, asserted & !*seen_asserted);
-            *seen_diverged |= diverged;
-            *seen_asserted |= asserted;
-            ctx.oracle
-                .observe(&mut lanes, cycle, net, new_diverged, new_asserted);
+        match word.changed_nets() {
+            None => {
+                for (&net, seen) in watched.iter().zip(&mut reported) {
+                    scan(ctx, word, &mut lanes, cycle, net, seen, live);
+                }
+            }
+            Some(changed) => {
+                for &net in changed {
+                    if let Some(seen) = reported.get_mut(slot[net.index()] as usize) {
+                        scan(ctx, word, &mut lanes, cycle, net, seen, live);
+                    }
+                }
+            }
         }
         word.tick();
     }
+    let work = WordWork {
+        cycles: simulated,
+        gate_evals: word.gate_evals() - gate_evals,
+        ff_updates: word.ff_updates() - ff_updates,
+    };
 
     let outcomes = batch
         .iter()
@@ -149,7 +204,7 @@ pub(crate) fn simulate_batch(
             finalize_outcome(env, fault, fault_index, readings)
         })
         .collect();
-    (outcomes, simulated)
+    (outcomes, work)
 }
 
 #[cfg(test)]
@@ -251,12 +306,12 @@ mod tests {
         let mut sim = Simulator::new(nl).unwrap();
         let mut word = WordSim::new(nl).unwrap();
         let batch: Vec<(usize, &Fault)> = faults.iter().enumerate().collect();
-        let (got, simulated) = simulate_batch(env, &ctx, &mut word, &batch, None);
+        let (got, work) = simulate_batch(env, &ctx, &mut word, &batch, None);
         for (&(fi, fault), fo) in batch.iter().zip(&got) {
             let (want, _) = simulate_scalar(env, &ctx, &mut sim, fi, fault, None);
             assert_eq!(&want, fo, "fault #{fi} ({}) diverges", fault.label);
         }
-        simulated
+        work.cycles
     }
 
     #[test]
@@ -364,9 +419,9 @@ mod tests {
         };
         let ctx = ExecContext::prepare(&env, std::slice::from_ref(&fault), 16);
         let mut word = WordSim::new(&nl).unwrap();
-        let (got, simulated) = simulate_batch(&env, &ctx, &mut word, &[(0, &fault)], None);
+        let (got, work) = simulate_batch(&env, &ctx, &mut word, &[(0, &fault)], None);
         assert_eq!(got[0].outcome, crate::inject::Outcome::NoEffect);
         assert!(!got[0].sens_triggered);
-        assert_eq!(simulated, 0);
+        assert_eq!(work, WordWork::default());
     }
 }

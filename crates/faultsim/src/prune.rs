@@ -23,8 +23,7 @@
 use crate::env::Environment;
 use crate::faultlist::{Fault, FaultKind};
 use crate::inject::{FaultOutcome, Outcome};
-use socfmea_accel::Topology;
-use socfmea_netlist::{Logic, NetId};
+use socfmea_netlist::{Logic, NetId, Topology};
 use socfmea_static::{Proof, TestabilityAnalysis};
 use std::collections::BTreeSet;
 

@@ -6,11 +6,10 @@ use crate::registry::{rule_info, RULES};
 use crate::structural::check_structural;
 use crate::testability::check_testability;
 use crate::worksheet::check_worksheet;
-use socfmea_accel::Topology;
 use socfmea_core::worksheet::Worksheet;
 use socfmea_core::ZoneSet;
 use socfmea_iec61508::Sil;
-use socfmea_netlist::Netlist;
+use socfmea_netlist::{Netlist, Topology};
 use socfmea_static::TestabilityAnalysis;
 
 /// What to do with a rule's findings — the clippy `allow`/`warn`/`deny`

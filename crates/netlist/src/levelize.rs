@@ -9,6 +9,7 @@
 
 use crate::ids::GateId;
 use crate::netlist::{Driver, Netlist};
+use crate::topo::Readers;
 use std::error::Error;
 use std::fmt;
 
@@ -61,44 +62,45 @@ impl Error for LevelizeError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn levelize(netlist: &Netlist) -> Result<Vec<GateId>, LevelizeError> {
+    levelize_with(netlist, &Readers::gates(netlist))
+}
+
+/// [`levelize`] over the gate reader lists of `netlist`, already built.
+pub(crate) fn levelize_with(
+    netlist: &Netlist,
+    readers: &Readers<GateId>,
+) -> Result<Vec<GateId>, LevelizeError> {
     let n = netlist.gate_count();
-    let mut indegree = vec![0u32; n];
-    for g in netlist.gates() {
-        for &i in &g.inputs {
-            if let Driver::Gate(_) = netlist.net(i).driver {
-                // counted below per-edge; nothing here
-            }
-        }
-    }
     // indegree = number of inputs driven by combinational gates
-    for (gi, g) in netlist.gates().iter().enumerate() {
-        indegree[gi] = g
-            .inputs
-            .iter()
-            .filter(|&&i| matches!(netlist.net(i).driver, Driver::Gate(_)))
-            .count() as u32;
-    }
-    let fanout = netlist.gate_fanout();
+    let mut indegree: Vec<u32> = netlist
+        .gates()
+        .iter()
+        .map(|g| {
+            g.inputs
+                .iter()
+                .filter(|&&i| matches!(netlist.net(i).driver, Driver::Gate(_)))
+                .count() as u32
+        })
+        .collect();
     let mut queue: Vec<GateId> = indegree
         .iter()
         .enumerate()
         .filter(|&(_, &d)| d == 0)
         .map(|(i, _)| GateId::from_index(i))
         .collect();
-    let mut order = Vec::with_capacity(n);
+    queue.reserve(n - queue.len());
     let mut head = 0;
     while head < queue.len() {
         let g = queue[head];
         head += 1;
-        order.push(g);
-        let out = netlist.gate(g).output;
-        for &reader in &fanout[out.index()] {
+        for &reader in readers.of(netlist.gate(g).output.index()) {
             indegree[reader.index()] -= 1;
             if indegree[reader.index()] == 0 {
                 queue.push(reader);
             }
         }
     }
+    let order = queue;
     if order.len() != n {
         let cycle_members = netlist
             .gates()

@@ -9,6 +9,8 @@
 //! * a [`NetlistBuilder`] for programmatic construction (used by the word-level
 //!   `socfmea-rtl` elaborator and by the `socfmea-memsys` design generator),
 //! * combinational levelization with cycle detection ([`levelize`](fn@crate::levelize)),
+//!   and the propagation [`Topology`] built on it: the levelized order plus
+//!   per-net gate and flip-flop reader lists,
 //! * fan-in **logic cone** extraction and per-zone statistics ([`cone`]) — the
 //!   data the paper's extraction tool collects for each sensible zone,
 //! * **correlation analysis** between cones ([`correlate`]): which gates are
@@ -51,6 +53,7 @@ pub mod levelize;
 pub mod logic;
 pub mod netlist;
 pub mod stats;
+pub mod topo;
 pub mod verilog;
 
 pub use cone::{fanin_cone, fanin_cone_multi, fanout_region, Cone, ConeStats, FanoutRegion};
@@ -64,4 +67,5 @@ pub use netlist::{
     PortDir,
 };
 pub use stats::NetlistStats;
+pub use topo::Topology;
 pub use verilog::{parse_verilog, write_verilog, ParseVerilogError};

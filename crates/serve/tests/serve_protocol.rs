@@ -180,7 +180,7 @@ fn a_full_queue_draws_429_with_a_retry_hint() {
     // one worker, one queue slot: a long-running job plus one queued job
     // saturate the server
     let (server, client) = start(1, 1);
-    let long = submit(&client, r#"{"example":"fmem","cycles":512,"tenant":"a"}"#);
+    let long = submit(&client, r#"{"example":"fmem","cycles":2048,"tenant":"a"}"#);
     wait_running(&client, &long);
     let queued = submit(&client, r#"{"example":"fmem","cycles":8,"tenant":"a"}"#);
 

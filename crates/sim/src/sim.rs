@@ -25,12 +25,17 @@ pub struct Simulator<'a> {
     values: Vec<Logic>,
     ff_state: Vec<Logic>,
     forces: Vec<Option<Logic>>,
+    /// The nets with a force, for applying them without a scan.
+    forced: Vec<NetId>,
     /// Transient (single-cycle) forces, cleared by `tick`.
     transients: Vec<(NetId, Logic)>,
     bridges: Vec<(NetId, NetId, BridgeKind)>,
     clock_suppressed: bool,
     cycle: u64,
     dirty: bool,
+    /// The next flip-flop states of a `tick`, kept between ticks so the
+    /// clock edge allocates nothing.
+    ff_next: Vec<Logic>,
 }
 
 /// A full copy of a simulator's dynamic state: net values, flip-flop state,
@@ -101,11 +106,13 @@ impl<'a> Simulator<'a> {
             values: vec![Logic::X; netlist.net_count()],
             ff_state: netlist.dffs().iter().map(|ff| ff.init).collect(),
             forces: vec![None; netlist.net_count()],
+            forced: Vec::new(),
             transients: Vec::new(),
             bridges: Vec::new(),
             clock_suppressed: false,
             cycle: 0,
             dirty: true,
+            ff_next: Vec::with_capacity(netlist.dff_count()),
         };
         sim.load_constants();
         sim.load_ff_outputs();
@@ -157,6 +164,7 @@ impl<'a> Simulator<'a> {
             self.ff_state[fi] = ff.init;
         }
         self.forces.fill(None);
+        self.forced.clear();
         self.transients.clear();
         self.bridges.clear();
         self.clock_suppressed = false;
@@ -253,6 +261,12 @@ impl<'a> Simulator<'a> {
         self.values.copy_from_slice(&snap.values);
         self.ff_state.copy_from_slice(&snap.ff_state);
         self.forces.clone_from(&snap.forces);
+        self.forced.clear();
+        self.forced.extend(
+            (0..self.forces.len())
+                .filter(|&i| self.forces[i].is_some())
+                .map(NetId::from_index),
+        );
         self.transients.clone_from(&snap.transients);
         self.bridges.clone_from(&snap.bridges);
         self.clock_suppressed = snap.clock_suppressed;
@@ -306,9 +320,9 @@ impl<'a> Simulator<'a> {
     fn apply_overrides_to_sources(&mut self) {
         // Forces on inputs / ff outputs / constants take effect here; forces
         // on gate outputs are applied during propagation.
-        for (i, f) in self.forces.iter().enumerate() {
-            if let Some(v) = f {
-                self.values[i] = *v;
+        for &net in &self.forced {
+            if let Some(v) = self.forces[net.index()] {
+                self.values[net.index()] = v;
             }
         }
         for &(net, v) in &self.transients {
@@ -366,7 +380,8 @@ impl<'a> Simulator<'a> {
     pub fn tick(&mut self) {
         self.eval();
         if !self.clock_suppressed {
-            let mut next = Vec::with_capacity(self.ff_state.len());
+            let mut next = std::mem::take(&mut self.ff_next);
+            next.clear();
             for (fi, ff) in self.netlist.dffs().iter().enumerate() {
                 let cur = self.ff_state[fi];
                 let rst = ff.reset.map(|r| self.values[r.index()]);
@@ -383,7 +398,7 @@ impl<'a> Simulator<'a> {
                 };
                 next.push(v);
             }
-            self.ff_state = next;
+            self.ff_next = std::mem::replace(&mut self.ff_state, next);
             self.load_ff_outputs();
         }
         self.transients.clear();
@@ -409,7 +424,9 @@ impl<'a> Simulator<'a> {
     /// Forces `net` to `value` persistently (stuck-at / stuck-open model).
     /// Remove with [`release`](Self::release).
     pub fn force(&mut self, net: NetId, value: Logic) {
-        self.forces[net.index()] = Some(value);
+        if self.forces[net.index()].replace(value).is_none() {
+            self.forced.push(net);
+        }
         self.dirty = true;
     }
 
@@ -419,7 +436,9 @@ impl<'a> Simulator<'a> {
     /// gate outputs recover at the next [`eval`](Self::eval), and a forced
     /// primary input keeps the forced value until driven again.
     pub fn release(&mut self, net: NetId) {
-        self.forces[net.index()] = None;
+        if self.forces[net.index()].take().is_some() {
+            self.forced.retain(|&n| n != net);
+        }
         // A force on a source net overwrites `values` directly; without this
         // the stale forced value would linger until the next tick (for a
         // flip-flop output) or forever (for a constant).

@@ -34,6 +34,33 @@
 //! operations become plane-parallel bitwise ops: AND folds `hi &=`,
 //! `lo |=`; NOT swaps the planes; XOR is a 4-AND/2-OR plane product.
 //!
+//! # Event-driven evaluation
+//!
+//! The netlist is compiled once into a flat program in levelized order
+//! (opcode, output and input indices per gate), and the word evaluates only
+//! what a change reaches. Every change to a net's planes — an input
+//! [`set`](WordSim::set), a lane hook, a flip-flop output at
+//! [`tick`](WordSim::tick), a gate output — wakes the net's readers from
+//! the netlist's [`Topology`]: its reader gates are scheduled in a bitmap
+//! over levelized positions, and its reader flip-flops are marked.
+//! [`eval`](WordSim::eval) walks the scheduled gates in order (a gate whose
+//! output changes schedules its own readers, which always sit later in the
+//! order), and `tick` updates only the marked flip-flops. A lifted pin
+//! reschedules the gate driving the pinned net.
+//!
+//! Wake-ups are lazy: a change only records its net and adds the net's
+//! gate fan-out to a running sum. When that sum exceeds
+//! [`1 / FALLBACK_SHARE`](FALLBACK_SHARE) of the gates, `eval` runs the
+//! plain walk over every gate instead, with no per-gate bookkeeping, and
+//! every flip-flop updates at the next `tick`. A high-activity word (every
+//! input redrawn every cycle) thus costs what the plain walk costs, and a
+//! quiet one only its changes. Lane bridges ride both walks (see
+//! [`WordSim::bridge_lane`]).
+//!
+//! After each `eval`, [`changed_nets`](WordSim::changed_nets) lists the
+//! nets whose planes changed since the previous `eval` (every net after a
+//! plain walk), so a monitor scan can skip the nets that did not move.
+//!
 //! # Per-lane faults
 //!
 //! Each hook touches its own lane only and mirrors one scalar hook:
@@ -62,9 +89,7 @@
 //! [`Simulator::suppress_clock`]: crate::Simulator::suppress_clock
 
 use crate::fault::BridgeKind;
-use socfmea_netlist::{
-    levelize, DffId, Driver, Gate, GateId, GateKind, LevelizeError, Logic, NetId, Netlist,
-};
+use socfmea_netlist::{DffId, Driver, GateKind, LevelizeError, Logic, NetId, Netlist, Topology};
 
 /// Bit lanes in one simulation word.
 pub const LANES: usize = 64;
@@ -72,6 +97,31 @@ pub const LANES: usize = 64;
 /// Fault capacity of one word: lane 0 is reserved for the golden machine,
 /// so a PPSFP batch holds at most `LANES - 1 = 63` faults.
 pub const FAULT_LANES: usize = LANES - 1;
+
+/// The event-driven walk's break-even, as a share of the gates: an
+/// [`eval`](WordSim::eval) whose pending changes wake more than
+/// `gates / FALLBACK_SHARE` reader gates directly (counted per input pin)
+/// runs the plain walk instead.
+///
+/// Set from measured costs (one x86-64 core). Per gate evaluation, a dense
+/// event walk costs ~1.8× the plain walk (lockstep-MCU stuck-at sweep:
+/// ~13 vs ~7 ns, the rest of the cycle included), so it pays only while it
+/// skips close to half of the gates or more. A plain walk also leaves more to the rest of the cycle: every
+/// flip-flop updates, and every monitored net is scanned. On the MCU sweep,
+/// changes that wake 40–80% of the gates directly reach 50–100% of them,
+/// and the event walk there ran 1.5× slower than the plain one; on the
+/// hardened F-MEM the certification workload's busiest cycles wake 30–80%
+/// directly, reach 40–80%, and still ran faster event-driven. No cycle of
+/// the MCU sweep wakes between 25% and 40% of its gates, so a third keeps
+/// the sweep on the plain walk and the F-MEM's busy cycles off it.
+pub const FALLBACK_SHARE: usize = 3;
+
+/// No enable or reset pin in the compiled flip-flop program.
+const NO_PIN: u32 = u32::MAX;
+
+/// Marks a flip-flop index in a gate's wake list (a gate position
+/// otherwise).
+const FF_READER: u32 = 1 << 31;
 
 /// Broadcasts a logic value to all 64 lanes as `(lo, hi)` planes.
 #[inline]
@@ -98,6 +148,112 @@ fn decode(lo: bool, hi: bool) -> Logic {
         // (0,0) is unreachable by construction; decode it as X too so the
         // function is total.
         _ => Logic::X,
+    }
+}
+
+/// Sets bit `i` of a bitmap.
+#[inline]
+fn set_bit(map: &mut [u64], i: usize) {
+    map[i / 64] |= 1 << (i % 64);
+}
+
+/// One gate of the compiled program, at its levelized position.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    /// Output net index.
+    out: u32,
+    /// The gate's input net indices are `ins[start..start + len]`.
+    start: u32,
+    len: u16,
+    kind: GateKind,
+}
+
+/// One flip-flop of the compiled program.
+#[derive(Debug, Clone, Copy)]
+struct FfOp {
+    d: u32,
+    q: u32,
+    /// Enable net index, or [`NO_PIN`].
+    enable: u32,
+    /// Reset net index, or [`NO_PIN`].
+    reset: u32,
+    /// `reset_value` as planes.
+    reset_lo: u64,
+    reset_hi: u64,
+}
+
+/// The netlist compiled for the word kernel: gates in levelized order,
+/// flip-flops in [`DffId`] order, and the reader lists that say what a
+/// change wakes.
+#[derive(Debug, Clone)]
+struct Program {
+    ops: Vec<Op>,
+    /// Input net indices of every op, op after op.
+    ins: Vec<u32>,
+    /// Levelized position of every gate (by [`GateId::index`]).
+    ///
+    /// [`GateId::index`]: socfmea_netlist::GateId::index
+    pos: Vec<u32>,
+    /// What a change of the gate output at position `p` wakes:
+    /// `wakes[wake_start[p]..wake_start[p + 1]]`, the reader gates'
+    /// positions and the reader flip-flops (as `FF_READER | index`). The
+    /// topology's per-net lists, resolved once for the hot path.
+    wake_start: Vec<u32>,
+    wakes: Vec<u32>,
+    ffs: Vec<FfOp>,
+    topo: Topology,
+}
+
+impl Program {
+    fn compile(netlist: &Netlist) -> Result<Program, LevelizeError> {
+        let topo = Topology::build(netlist)?;
+        let mut ops = Vec::with_capacity(netlist.gate_count());
+        let mut ins = Vec::new();
+        let mut pos = vec![0u32; netlist.gate_count()];
+        for (p, &g) in topo.levels().iter().enumerate() {
+            let gate = netlist.gate(g);
+            pos[g.index()] = p as u32;
+            ops.push(Op {
+                out: gate.output.0,
+                start: ins.len() as u32,
+                len: u16::try_from(gate.inputs.len()).expect("fewer than 2^16 gate inputs"),
+                kind: gate.kind,
+            });
+            ins.extend(gate.inputs.iter().map(|n| n.0));
+        }
+        let mut wake_start = Vec::with_capacity(ops.len() + 1);
+        let mut wakes = Vec::new();
+        wake_start.push(0);
+        for op in &ops {
+            let out = NetId(op.out);
+            wakes.extend(topo.gate_readers(out).iter().map(|g| pos[g.index()]));
+            wakes.extend(topo.dff_readers(out).iter().map(|f| FF_READER | f.0));
+            wake_start.push(wakes.len() as u32);
+        }
+        let ffs = netlist
+            .dffs()
+            .iter()
+            .map(|ff| {
+                let (reset_lo, reset_hi) = encode(ff.reset_value);
+                FfOp {
+                    d: ff.d.0,
+                    q: ff.q.0,
+                    enable: ff.enable.map_or(NO_PIN, |n| n.0),
+                    reset: ff.reset.map_or(NO_PIN, |n| n.0),
+                    reset_lo,
+                    reset_hi,
+                }
+            })
+            .collect();
+        Ok(Program {
+            ops,
+            ins,
+            pos,
+            wake_start,
+            wakes,
+            ffs,
+            topo,
+        })
     }
 }
 
@@ -134,11 +290,12 @@ impl LaneBridge {
 /// tracks a fault-free `Simulator` run bit for bit, and a lane carrying one
 /// of the per-lane hooks (see the module docs) tracks a `Simulator` run
 /// carrying the equivalent scalar hook, driven through the same sequence
-/// of `set`/`eval`/`tick` calls, as read after each `eval`.
+/// of `set`/`eval`/`tick` calls, as read after each `eval`. Evaluation is
+/// event-driven (see the module docs); the values are the plain walk's.
 #[derive(Debug, Clone)]
 pub struct WordSim<'a> {
     netlist: &'a Netlist,
-    order: Vec<GateId>,
+    prog: Program,
     /// `lo` plane per net (bit set ⇒ lane may be 0 or X).
     lo: Vec<u64>,
     /// `hi` plane per net (bit set ⇒ lane may be 1 or X).
@@ -155,10 +312,12 @@ pub struct WordSim<'a> {
     glitches: Vec<(NetId, u64)>,
     /// Per-lane bridges, coupled after every gate walk.
     bridges: Vec<LaneBridge>,
-    /// The gates downstream of any bridge victim in levelized order, each
-    /// with the lanes in which its output is itself a victim (held while
-    /// the cone re-propagates).
-    bridge_cone: Vec<(GateId, u64)>,
+    /// Per net, the lanes in which it is a bridge victim (held while the
+    /// victims' fan-out re-propagates).
+    bridge_held: Vec<u64>,
+    /// The positions of the gates driving a bridge victim: an event walk
+    /// recomputes them every time, uncoupled, before coupling again.
+    bridge_drivers: Vec<u32>,
     /// Some bridge victim is a net no gate drives, so `tick` re-evaluates
     /// after the clock edge (see there).
     source_bridged: bool,
@@ -168,24 +327,57 @@ pub struct WordSim<'a> {
     /// constants and undriven wires.
     sources: Vec<NetId>,
     cycle: u64,
+    /// Something changed since the last `eval`.
     dirty: bool,
+    /// The next `eval` walks every gate.
+    full: bool,
+    /// Nets whose planes changed since the last `eval`; their readers are
+    /// woken there.
+    pending: Vec<NetId>,
+    /// Positions to re-evaluate at the next `eval` whatever their inputs
+    /// do: gates whose output pin lifted.
+    pending_gates: Vec<u32>,
+    /// The reader gates `pending` and `pending_gates` wake, counted with
+    /// multiplicity: the fallback rule's measure.
+    pending_fanout: usize,
+    /// Bitmap over levelized positions: the gates the running event walk
+    /// still has to evaluate (all clear outside `eval`).
+    sched: Vec<u64>,
+    /// Bitmap over flip-flops: the ones the next `tick` updates.
+    ff_mark: Vec<u64>,
+    /// The next `tick` updates every flip-flop.
+    ff_all: bool,
+    /// Flip-flops whose state the running `tick` changed.
+    ff_changed: Vec<u32>,
+    /// The nets whose planes changed since the previous `eval` returned,
+    /// unless `changed_all`.
+    changed: Vec<NetId>,
+    /// A plain walk ran since the previous `eval` returned: every net
+    /// counts as changed.
+    changed_all: bool,
+    /// `changed` is the report of the last `eval`: the next evaluation,
+    /// an `eval`'s or a `tick`'s, starts a new one.
+    reported: bool,
+    /// Gate outputs and flip-flop states recomputed so far.
+    gate_evals: u64,
+    ff_updates: u64,
 }
 
 impl<'a> WordSim<'a> {
-    /// Prepares a 64-lane simulator: levelizes the netlist, initialises
-    /// every flip-flop to its declared power-on value in all lanes, and
-    /// settles the combinational network. Primary inputs start at `X`.
+    /// Prepares a 64-lane simulator: compiles the netlist into a levelized
+    /// program, initialises every flip-flop to its declared power-on value
+    /// in all lanes, and settles the combinational network. Primary inputs
+    /// start at `X`.
     ///
     /// # Errors
     ///
     /// Returns [`LevelizeError`] if the netlist contains a combinational
     /// cycle.
     pub fn new(netlist: &'a Netlist) -> Result<WordSim<'a>, LevelizeError> {
-        let order = levelize(netlist)?;
+        let prog = Program::compile(netlist)?;
         let n = netlist.net_count();
         let mut sim = WordSim {
             netlist,
-            order,
             lo: vec![!0; n],
             hi: vec![!0; n],
             ff_lo: Vec::with_capacity(netlist.dff_count()),
@@ -196,7 +388,8 @@ impl<'a> WordSim<'a> {
             pinned: Vec::new(),
             glitches: Vec::new(),
             bridges: Vec::new(),
-            bridge_cone: Vec::new(),
+            bridge_held: vec![0; n],
+            bridge_drivers: Vec::new(),
             source_bridged: false,
             clock_hold: 0,
             sources: (0..n)
@@ -205,6 +398,20 @@ impl<'a> WordSim<'a> {
                 .collect(),
             cycle: 0,
             dirty: true,
+            full: true,
+            pending: Vec::new(),
+            pending_gates: Vec::new(),
+            pending_fanout: 0,
+            sched: vec![0; prog.ops.len().div_ceil(64)],
+            ff_mark: vec![0; prog.ffs.len().div_ceil(64)],
+            ff_all: true,
+            ff_changed: Vec::new(),
+            changed: Vec::new(),
+            changed_all: false,
+            reported: false,
+            gate_evals: 0,
+            ff_updates: 0,
+            prog,
         };
         for ff in netlist.dffs() {
             let (l, h) = encode(ff.init);
@@ -227,6 +434,18 @@ impl<'a> WordSim<'a> {
         self.cycle
     }
 
+    /// Gate outputs recomputed since construction: every gate of a plain
+    /// walk, the scheduled ones of an event-driven walk, and the bridge
+    /// cone's re-propagations.
+    pub fn gate_evals(&self) -> u64 {
+        self.gate_evals
+    }
+
+    /// Flip-flop states recomputed at clock edges since construction.
+    pub fn ff_updates(&self) -> u64 {
+        self.ff_updates
+    }
+
     fn load_constants(&mut self) {
         for (i, net) in self.netlist.nets().iter().enumerate() {
             if let Driver::Const(v) = net.driver {
@@ -238,11 +457,31 @@ impl<'a> WordSim<'a> {
     }
 
     fn load_ff_outputs(&mut self) {
-        for (fi, ff) in self.netlist.dffs().iter().enumerate() {
-            let q = ff.q.index();
+        for (fi, ff) in self.prog.ffs.iter().enumerate() {
+            let q = ff.q as usize;
             self.lo[q] = self.ff_lo[fi];
             self.hi[q] = self.ff_hi[fi];
         }
+    }
+
+    /// Drops every pending wake-up and flip-flop mark: the next `eval`
+    /// walks every gate and the `tick` after it updates every flip-flop.
+    fn invalidate(&mut self) {
+        self.pending.clear();
+        self.pending_gates.clear();
+        self.pending_fanout = 0;
+        self.ff_mark.fill(0);
+        self.full = true;
+        self.dirty = true;
+    }
+
+    /// Records that the planes of net `i` changed outside a gate walk:
+    /// the next `eval` wakes its readers.
+    #[inline]
+    fn note_change(&mut self, i: usize) {
+        self.pending.push(NetId::from_index(i));
+        self.pending_fanout += self.prog.topo.gate_readers(NetId::from_index(i)).len();
+        self.dirty = true;
     }
 
     /// Resets to power-on in every lane: flip-flops to `init`, inputs to
@@ -262,7 +501,7 @@ impl<'a> WordSim<'a> {
         self.cycle = 0;
         self.load_constants();
         self.load_ff_outputs();
-        self.dirty = true;
+        self.invalidate();
         self.eval();
     }
 
@@ -281,25 +520,30 @@ impl<'a> WordSim<'a> {
         for (i, &v) in row.iter().enumerate() {
             (self.lo[i], self.hi[i]) = encode(v);
         }
-        for (fi, ff) in self.netlist.dffs().iter().enumerate() {
+        for (fi, ff) in self.prog.ffs.iter().enumerate() {
             // a flip-flop output carries the stored state in a fault-free run
-            (self.ff_lo[fi], self.ff_hi[fi]) = encode(row[ff.q.index()]);
+            (self.ff_lo[fi], self.ff_hi[fi]) = encode(row[ff.q as usize]);
         }
         self.clear_lane_faults();
         self.cycle = cycle;
-        self.dirty = true;
+        self.invalidate();
     }
 
     /// Removes every lane pin, glitch, bridge and clock hold.
     fn clear_lane_faults(&mut self) {
         self.clear_pins();
+        for b in &self.bridges {
+            self.bridge_held[b.victim.index()] = 0;
+        }
         self.bridges.clear();
-        self.bridge_cone.clear();
+        self.bridge_drivers.clear();
         self.source_bridged = false;
         self.clock_hold = 0;
     }
 
-    /// Removes every lane pin and glitch without touching simulation state.
+    /// Removes every lane pin and glitch without touching simulation state:
+    /// the next [`eval`](Self::eval) walks every gate, and a net no gate
+    /// drives keeps its pinned value until something drives it again.
     pub fn clear_pins(&mut self) {
         for &net in &self.pinned {
             self.pin_mask[net.index()] = 0;
@@ -308,6 +552,7 @@ impl<'a> WordSim<'a> {
         }
         self.pinned.clear();
         self.glitches.clear();
+        self.full = true;
         self.dirty = true;
     }
 
@@ -322,7 +567,8 @@ impl<'a> WordSim<'a> {
         1 << lane
     }
 
-    /// Pins `net` to `value` in the lanes of `bit`.
+    /// Pins `net` to `value` in the lanes of `bit`. The pin takes effect at
+    /// the next `eval`, which applies every pin.
     fn pin(&mut self, net: NetId, bit: u64, value: Logic) {
         let i = net.index();
         if self.pin_mask[i] == 0 {
@@ -335,7 +581,10 @@ impl<'a> WordSim<'a> {
         self.dirty = true;
     }
 
-    /// Lifts the pin of `net` in the lanes of `bit`.
+    /// Lifts the pin of `net` in the lanes of `bit` at a clock edge. The
+    /// lanes recover what drives the net: a gate output is recomputed at
+    /// the next `eval`, a flip-flop output reloads the stored state, and
+    /// any other net keeps the pinned value until driven again.
     fn unpin(&mut self, net: NetId, bit: u64) {
         let i = net.index();
         self.pin_mask[i] &= !bit;
@@ -343,6 +592,20 @@ impl<'a> WordSim<'a> {
         self.pin_hi[i] &= !bit;
         if self.pin_mask[i] == 0 {
             self.pinned.retain(|&n| n != net);
+        }
+        match self.netlist.net(net).driver {
+            Driver::Gate(g) => {
+                self.pending_gates.push(self.prog.pos[g.index()]);
+                self.pending_fanout += 1;
+            }
+            Driver::Dff(f) => {
+                let (l, h) = (self.ff_lo[f.index()], self.ff_hi[f.index()]);
+                if (self.lo[i], self.hi[i]) != (l, h) {
+                    (self.lo[i], self.hi[i]) = (l, h);
+                    self.note_change(i);
+                }
+            }
+            _ => {}
         }
         self.dirty = true;
     }
@@ -359,10 +622,11 @@ impl<'a> WordSim<'a> {
             "net {net} is not a primary input"
         );
         let (l, h) = encode(value);
-        if (self.lo[net.index()], self.hi[net.index()]) != (l, h) {
-            self.lo[net.index()] = l;
-            self.hi[net.index()] = h;
-            self.dirty = true;
+        let i = net.index();
+        if (self.lo[i], self.hi[i]) != (l, h) {
+            self.lo[i] = l;
+            self.hi[i] = h;
+            self.note_change(i);
         }
     }
 
@@ -397,7 +661,8 @@ impl<'a> WordSim<'a> {
     /// Inverts the stored state of flip-flop `dff` in one lane — a per-lane
     /// bit flip, the analogue of
     /// [`Simulator::flip_ff`](crate::Simulator::flip_ff): `X` stays `X`,
-    /// and the flip-flop's output shows the new state at once.
+    /// and the flip-flop's output shows the new state at once. The
+    /// flip-flop is marked, so the next [`tick`](Self::tick) updates it.
     ///
     /// # Panics
     ///
@@ -409,16 +674,28 @@ impl<'a> WordSim<'a> {
         let (l, h) = (self.ff_lo[fi], self.ff_hi[fi]);
         self.ff_lo[fi] = (l & !bit) | (h & bit);
         self.ff_hi[fi] = (h & !bit) | (l & bit);
-        let q = self.netlist.dff(dff).q.index();
-        self.lo[q] = (self.lo[q] & !bit) | (self.ff_lo[fi] & bit);
-        self.hi[q] = (self.hi[q] & !bit) | (self.ff_hi[fi] & bit);
-        self.dirty = true;
+        set_bit(&mut self.ff_mark, fi);
+        let q = self.prog.ffs[fi].q as usize;
+        let (nl, nh) = (
+            (self.lo[q] & !bit) | (self.ff_lo[fi] & bit),
+            (self.hi[q] & !bit) | (self.ff_hi[fi] & bit),
+        );
+        if (self.lo[q], self.hi[q]) != (nl, nh) {
+            (self.lo[q], self.hi[q]) = (nl, nh);
+            self.note_change(q);
+        }
     }
 
     /// Couples `victim` to `aggressor` in one lane only — a per-lane
     /// bridge, the analogue of
     /// [`Simulator::add_bridge`](crate::Simulator::add_bridge). Lane 0 is
     /// the golden lane and must stay clean.
+    ///
+    /// Bridges are evaluated with the scalar rule in both walks. An event
+    /// walk recomputes every gate driving a victim, so the victim starts
+    /// each evaluation uncoupled as in a plain walk, then couples, and the
+    /// changed victims wake their readers, which re-evaluate with every
+    /// victim held in its own lanes.
     ///
     /// A lane carries at most one bridge, and that is what lets
     /// [`eval`](Self::eval) skip a call when nothing changed. The scalar
@@ -445,31 +722,12 @@ impl<'a> WordSim<'a> {
             kind,
             bit,
         });
-        self.source_bridged |= !matches!(self.netlist.net(victim).driver, Driver::Gate(_));
-        self.rebuild_bridge_cone();
+        self.bridge_held[victim.index()] |= bit;
+        match self.netlist.net(victim).driver {
+            Driver::Gate(g) => self.bridge_drivers.push(self.prog.pos[g.index()]),
+            _ => self.source_bridged = true,
+        }
         self.dirty = true;
-    }
-
-    /// Recomputes the gates downstream of any bridge victim (one sweep in
-    /// levelized order), with the lanes each one is held in.
-    fn rebuild_bridge_cone(&mut self) {
-        let mut reached = vec![false; self.lo.len()];
-        for b in &self.bridges {
-            reached[b.victim.index()] = true;
-        }
-        self.bridge_cone.clear();
-        for &g in &self.order {
-            let gate = self.netlist.gate(g);
-            if gate.inputs.iter().any(|n| reached[n.index()]) {
-                reached[gate.output.index()] = true;
-                let held = self
-                    .bridges
-                    .iter()
-                    .filter(|b| b.victim == gate.output)
-                    .fold(0, |m, b| m | b.bit);
-                self.bridge_cone.push((g, held));
-            }
-        }
     }
 
     /// Holds one lane's flip-flops at every clock edge while `held` — a
@@ -483,8 +741,10 @@ impl<'a> WordSim<'a> {
         let bit = Self::lane_bit(lane);
         if held {
             self.clock_hold |= bit;
-        } else {
+        } else if self.clock_hold & bit != 0 {
             self.clock_hold &= !bit;
+            // the release edge: the held lanes catch up with their inputs
+            self.ff_all = true;
         }
     }
 
@@ -545,6 +805,16 @@ impl<'a> WordSim<'a> {
         self.hi[net.index()] & !self.lo[net.index()]
     }
 
+    /// Read after an [`eval`](Self::eval): the nets whose planes changed
+    /// since the previous `eval` returned (a [`tick`](Self::tick) and the
+    /// hooks in between included), in no particular order and possibly
+    /// more than once; `None` when a plain walk ran in that span, after
+    /// which every net counts as changed. A net missing from the list holds
+    /// the planes it held when the previous `eval` returned.
+    pub fn changed_nets(&self) -> Option<&[NetId]> {
+        (!self.changed_all).then_some(self.changed.as_slice())
+    }
+
     /// Applies lane pins to a stored value pair.
     #[inline]
     fn pinned_planes(&self, i: usize, lo: u64, hi: u64) -> (u64, u64) {
@@ -556,88 +826,207 @@ impl<'a> WordSim<'a> {
     /// lane bridges. Idempotent when nothing changed since the last call
     /// (see [`bridge_lane`](Self::bridge_lane) for why that holds for
     /// bridged lanes too).
+    ///
+    /// Walks only the gates the changes since the last call reach, unless
+    /// they wake more than [`1 / FALLBACK_SHARE`](FALLBACK_SHARE) of the
+    /// gates: then it walks every gate.
     pub fn eval(&mut self) {
+        self.settle();
+        self.reported = true;
+    }
+
+    /// [`eval`](Self::eval) without closing the changed-net report: the
+    /// evaluations inside `tick` add to the next `eval`'s report.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.reported) {
+            self.changed.clear();
+            self.changed_all = false;
+        }
         if !self.dirty {
             return;
         }
-        // Pins on source nets (inputs, constants, FF outputs, undriven
-        // wires) take effect here; pins on gate outputs are re-applied at
-        // the output write during propagation.
+        // Pins take effect here: a stored value with its pins applied stays
+        // put, a new pin changes the net, and its readers wake. A gate
+        // output is re-pinned at its write as well.
         for pi in 0..self.pinned.len() {
             let i = self.pinned[pi].index();
             let (l, h) = self.pinned_planes(i, self.lo[i], self.hi[i]);
-            self.lo[i] = l;
-            self.hi[i] = h;
+            if (self.lo[i], self.hi[i]) != (l, h) {
+                (self.lo[i], self.hi[i]) = (l, h);
+                self.note_change(i);
+            }
         }
-        let order = std::mem::take(&mut self.order);
-        for &g in &order {
-            let gate = self.netlist.gate(g);
-            let (mut lo, mut hi) = self.gate_planes(gate);
-            let out = gate.output.index();
+        self.dirty = false;
+        let fallback = self.full || self.pending_fanout * FALLBACK_SHARE > self.prog.ops.len();
+        if fallback {
+            self.walk_all();
+            if !self.bridges.is_empty() {
+                self.couple_bridges();
+            }
+            self.pending.clear();
+            self.pending_gates.clear();
+            self.pending_fanout = 0;
+            self.full = false;
+            self.changed_all = true;
+            self.ff_all = true;
+        } else {
+            self.walk_events();
+            if !self.bridges.is_empty() {
+                self.couple_bridges();
+            }
+        }
+    }
+
+    /// The plain walk: every gate in levelized order, no bookkeeping.
+    fn walk_all(&mut self) {
+        let prog = std::mem::take(&mut self.prog.ops);
+        for op in &prog {
+            let (mut lo, mut hi) = self.op_planes(op);
+            let out = op.out as usize;
             if self.pin_mask[out] != 0 {
                 (lo, hi) = self.pinned_planes(out, lo, hi);
             }
             self.lo[out] = lo;
             self.hi[out] = hi;
         }
-        self.order = order;
-        if !self.bridges.is_empty() {
-            self.couple_bridges();
-        }
-        self.dirty = false;
+        self.gate_evals += prog.len() as u64;
+        self.prog.ops = prog;
     }
 
-    /// The output planes of `gate` from its current input planes.
-    #[inline(always)]
-    fn gate_planes(&self, gate: &Gate) -> (u64, u64) {
-        let ins = &gate.inputs;
-        match gate.kind {
-            GateKind::Buf => (self.lo[ins[0].index()], self.hi[ins[0].index()]),
-            GateKind::Not => (self.hi[ins[0].index()], self.lo[ins[0].index()]),
-            GateKind::And | GateKind::Nand => {
-                let (mut lo, mut hi) = (0u64, !0u64);
-                for &n in ins.iter() {
-                    lo |= self.lo[n.index()];
-                    hi &= self.hi[n.index()];
+    /// Schedules the gate readers of net `i` and marks its flip-flop
+    /// readers.
+    #[inline]
+    fn wake(&mut self, i: usize) {
+        let net = NetId::from_index(i);
+        for &g in self.prog.topo.gate_readers(net) {
+            set_bit(&mut self.sched, self.prog.pos[g.index()] as usize);
+        }
+        for &ff in self.prog.topo.dff_readers(net) {
+            set_bit(&mut self.ff_mark, ff.index());
+        }
+    }
+
+    /// The event walk: wakes the readers of every pending change and
+    /// schedules the lifted pins' and the bridge victims' drivers, then
+    /// walks the scheduled gates.
+    fn walk_events(&mut self) {
+        let pending = std::mem::take(&mut self.pending);
+        for &net in &pending {
+            self.wake(net.index());
+        }
+        self.changed.extend_from_slice(&pending);
+        self.pending = pending;
+        self.pending.clear();
+        for k in 0..self.pending_gates.len() {
+            let p = self.pending_gates[k] as usize;
+            set_bit(&mut self.sched, p);
+        }
+        for k in 0..self.bridge_drivers.len() {
+            let p = self.bridge_drivers[k] as usize;
+            set_bit(&mut self.sched, p);
+        }
+        self.pending_gates.clear();
+        self.pending_fanout = 0;
+        self.walk_scheduled::<false>();
+    }
+
+    /// Evaluates the scheduled gates in levelized order, waking the readers
+    /// of every output that changes. A reader sits after its driver, so one
+    /// forward pass over the bitmap reaches everything. With `HELD`, a
+    /// bridge victim keeps its coupled value in its own lanes.
+    fn walk_scheduled<const HELD: bool>(&mut self) {
+        for w in 0..self.sched.len() {
+            // the word's bits stay in a register; a wake into this word
+            // joins them there (a reader sits at a later position)
+            let mut bits = std::mem::take(&mut self.sched[w]);
+            while bits != 0 {
+                let p = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let op = self.prog.ops[p];
+                let (mut lo, mut hi) = self.op_planes(&op);
+                self.gate_evals += 1;
+                let out = op.out as usize;
+                if self.pin_mask[out] != 0 {
+                    (lo, hi) = self.pinned_planes(out, lo, hi);
                 }
-                if gate.kind == GateKind::Nand {
-                    (hi, lo)
+                if HELD {
+                    let held = self.bridge_held[out];
+                    lo = (lo & !held) | (self.lo[out] & held);
+                    hi = (hi & !held) | (self.hi[out] & held);
+                }
+                if (self.lo[out], self.hi[out]) != (lo, hi) {
+                    self.lo[out] = lo;
+                    self.hi[out] = hi;
+                    self.changed.push(NetId::from_index(out));
+                    let wakes =
+                        self.prog.wake_start[p] as usize..self.prog.wake_start[p + 1] as usize;
+                    for &r in &self.prog.wakes[wakes] {
+                        if r & FF_READER != 0 {
+                            set_bit(&mut self.ff_mark, (r & !FF_READER) as usize);
+                        } else if r as usize / 64 == w {
+                            bits |= 1 << (r % 64);
+                        } else {
+                            set_bit(&mut self.sched, r as usize);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The output planes of `op` from its current input planes.
+    #[inline(always)]
+    fn op_planes(&self, op: &Op) -> (u64, u64) {
+        let ins = &self.prog.ins[op.start as usize..][..op.len as usize];
+        let (lo, hi) = (&self.lo, &self.hi);
+        match op.kind {
+            GateKind::Buf => (lo[ins[0] as usize], hi[ins[0] as usize]),
+            GateKind::Not => (hi[ins[0] as usize], lo[ins[0] as usize]),
+            GateKind::And | GateKind::Nand => {
+                let (mut l, mut h) = (0u64, !0u64);
+                for &n in ins {
+                    l |= lo[n as usize];
+                    h &= hi[n as usize];
+                }
+                if op.kind == GateKind::Nand {
+                    (h, l)
                 } else {
-                    (lo, hi)
+                    (l, h)
                 }
             }
             GateKind::Or | GateKind::Nor => {
-                let (mut lo, mut hi) = (!0u64, 0u64);
-                for &n in ins.iter() {
-                    lo &= self.lo[n.index()];
-                    hi |= self.hi[n.index()];
+                let (mut l, mut h) = (!0u64, 0u64);
+                for &n in ins {
+                    l &= lo[n as usize];
+                    h |= hi[n as usize];
                 }
-                if gate.kind == GateKind::Nor {
-                    (hi, lo)
+                if op.kind == GateKind::Nor {
+                    (h, l)
                 } else {
-                    (lo, hi)
+                    (l, h)
                 }
             }
             GateKind::Xor | GateKind::Xnor => {
                 // Parity fold starting from encoded Zero.
-                let (mut lo, mut hi) = (!0u64, 0u64);
-                for &n in ins.iter() {
-                    let (bl, bh) = (self.lo[n.index()], self.hi[n.index()]);
-                    let nl = (lo & bl) | (hi & bh);
-                    let nh = (lo & bh) | (hi & bl);
-                    lo = nl;
-                    hi = nh;
+                let (mut l, mut h) = (!0u64, 0u64);
+                for &n in ins {
+                    let (bl, bh) = (lo[n as usize], hi[n as usize]);
+                    let nl = (l & bl) | (h & bh);
+                    let nh = (l & bh) | (h & bl);
+                    l = nl;
+                    h = nh;
                 }
-                if gate.kind == GateKind::Xnor {
-                    (hi, lo)
+                if op.kind == GateKind::Xnor {
+                    (h, l)
                 } else {
-                    (lo, hi)
+                    (l, h)
                 }
             }
             GateKind::Mux2 => {
-                let (sl, sh) = (self.lo[ins[0].index()], self.hi[ins[0].index()]);
-                let (al, ah) = (self.lo[ins[1].index()], self.hi[ins[1].index()]);
-                let (bl, bh) = (self.lo[ins[2].index()], self.hi[ins[2].index()]);
+                let (s, a, b) = (ins[0] as usize, ins[1] as usize, ins[2] as usize);
+                let (sl, sh) = (lo[s], hi[s]);
+                let (al, ah) = (lo[a], hi[a]);
+                let (bl, bh) = (lo[b], hi[b]);
                 let sel0 = sl & !sh;
                 let sel1 = sh & !sl;
                 let selx = sl & sh;
@@ -651,43 +1040,37 @@ impl<'a> WordSim<'a> {
         }
     }
 
-    /// Couples every lane bridge with `Simulator::eval`'s rule: up to two
-    /// passes, each coupling from the victim's current value; after a pass
-    /// that changed any lane, the victims' fan-out cone re-propagates with
-    /// each victim held in its own lanes. A lane whose pass changed
+    /// Couples every lane bridge with `Simulator::eval`'s rule, after
+    /// either walk: up to two passes, each coupling from the victim's
+    /// current value; after a pass that changed any lane, the changed
+    /// victims' readers re-evaluate, with every victim held in its own
+    /// lanes, and so on down their fan-out. A lane whose pass changed
     /// nothing recomputes to the same values, so sharing the passes is
     /// exact.
     ///
-    /// Kept out of line: inlined into `eval`, it slowed the plain gate walk
-    /// of bridge-free words by ~10% (hardened F-MEM certification workload,
-    /// one x86-64 core).
+    /// Kept out of line: inlined into `eval`, bridge coupling slowed the
+    /// plain gate walk of bridge-free words by ~10% (hardened F-MEM
+    /// certification workload, one x86-64 core).
     #[inline(never)]
     fn couple_bridges(&mut self) {
         for _pass in 0..2 {
-            let mut changed = 0u64;
+            let mut changed = false;
             for bi in 0..self.bridges.len() {
                 let b = self.bridges[bi];
                 let (a, v) = (b.aggressor.index(), b.victim.index());
                 let (lo, hi) = b.couple((self.lo[a], self.hi[a]), (self.lo[v], self.hi[v]));
-                changed |= (lo ^ self.lo[v]) | (hi ^ self.hi[v]);
-                self.lo[v] = lo;
-                self.hi[v] = hi;
+                if (lo, hi) != (self.lo[v], self.hi[v]) {
+                    self.lo[v] = lo;
+                    self.hi[v] = hi;
+                    self.changed.push(b.victim);
+                    self.wake(v);
+                    changed = true;
+                }
             }
-            if changed == 0 {
+            if !changed {
                 break;
             }
-            let cone = std::mem::take(&mut self.bridge_cone);
-            for &(g, held) in &cone {
-                let gate = self.netlist.gate(g);
-                let (mut lo, mut hi) = self.gate_planes(gate);
-                let out = gate.output.index();
-                if self.pin_mask[out] != 0 {
-                    (lo, hi) = self.pinned_planes(out, lo, hi);
-                }
-                self.lo[out] = (lo & !held) | (self.lo[out] & held);
-                self.hi[out] = (hi & !held) | (self.hi[out] & held);
-            }
-            self.bridge_cone = cone;
+            self.walk_scheduled::<true>();
         }
     }
 
@@ -696,6 +1079,22 @@ impl<'a> WordSim<'a> {
     /// [`Simulator::tick`](crate::Simulator::tick); a
     /// [held](Self::hold_clock_lane) lane keeps its state), and this
     /// cycle's [glitches](Self::pulse_lane) lift.
+    ///
+    /// Only the flip-flops marked since the last edge are recomputed: those
+    /// whose `d`, `enable` or `reset` planes changed, and the
+    /// [flipped](Self::flip_lane) ones. That is exact because the update
+    /// is idempotent per lane: with `reset` at `1` it loads `reset_value`,
+    /// with `reset` or `enable` at `X` it loads `X`, with `enable` at `1`
+    /// it loads `d`, and with `enable` at `0` it keeps the state. Every
+    /// branch yields a value set by the inputs or by the state itself, so
+    /// a flip-flop whose inputs are unchanged since its last update keeps
+    /// its state. Every flip-flop is recomputed instead after a plain
+    /// walk (which records no changes), after
+    /// [`load_golden`](Self::load_golden) and
+    /// [`reset_to_power_on`](Self::reset_to_power_on), and while a clock
+    /// hold is live or at its release edge (a held lane skipped its
+    /// updates). A flip-flop whose state changes reloads its output, and
+    /// the next [`eval`](Self::eval) wakes the output's readers.
     ///
     /// The combinational network is left for the next [`eval`](Self::eval)
     /// to walk, once the next cycle's inputs are driven, so a cycle costs
@@ -706,47 +1105,96 @@ impl<'a> WordSim<'a> {
     /// again from the coupled value. While some lane carries such a bridge,
     /// this evaluation runs here too.
     pub fn tick(&mut self) {
-        self.eval();
+        self.settle();
         let hold = self.clock_hold;
-        for (fi, ff) in self.netlist.dffs().iter().enumerate() {
-            let (cl, ch) = (self.ff_lo[fi], self.ff_hi[fi]);
-            let (dl, dh) = (self.lo[ff.d.index()], self.hi[ff.d.index()]);
-            // Reset plane masks; no reset net behaves as constant 0
-            // (the `_` arm of the Simulator's reset match).
-            let (r1, r0, rx) = match ff.reset {
-                Some(r) => {
-                    let (rl, rh) = (self.lo[r.index()], self.hi[r.index()]);
-                    (rh & !rl, rl & !rh, rl & rh)
+        if self.ff_all || hold != 0 {
+            for fi in 0..self.prog.ffs.len() {
+                self.update_ff(fi, hold);
+            }
+            self.ff_updates += self.prog.ffs.len() as u64;
+            self.ff_mark.fill(0);
+        } else {
+            for w in 0..self.ff_mark.len() {
+                let mut bits = std::mem::take(&mut self.ff_mark[w]);
+                self.ff_updates += u64::from(bits.count_ones());
+                while bits != 0 {
+                    self.update_ff(w * 64 + bits.trailing_zeros() as usize, hold);
+                    bits &= bits - 1;
                 }
-                None => (0, !0, 0),
-            };
-            // Enable plane masks; no enable net behaves as constant 1.
-            let (e1, e0, ex) = match ff.enable {
-                Some(e) => {
-                    let (el, eh) = (self.lo[e.index()], self.hi[e.index()]);
-                    (eh & !el, el & !eh, el & eh)
-                }
-                None => (!0, 0, 0),
-            };
-            let (rvl, rvh) = encode(ff.reset_value);
-            // Per lane: rst==1 → reset_value; rst X → X; rst==0 →
-            // (en==1 → d, en==0 → hold, en X → X).
-            let loaded_lo = (e1 & dl) | (e0 & cl) | ex;
-            let loaded_hi = (e1 & dh) | (e0 & ch) | ex;
-            let next_lo = (r1 & rvl) | rx | (r0 & loaded_lo);
-            let next_hi = (r1 & rvh) | rx | (r0 & loaded_hi);
-            // a held lane keeps its state
-            self.ff_lo[fi] = (next_lo & !hold) | (cl & hold);
-            self.ff_hi[fi] = (next_hi & !hold) | (ch & hold);
+            }
         }
+        self.ff_all = false;
+        // outputs change only after every flip-flop sampled
+        let changed = std::mem::take(&mut self.ff_changed);
+        for &fi in &changed {
+            let fi = fi as usize;
+            let q = self.prog.ffs[fi].q as usize;
+            self.lo[q] = self.ff_lo[fi];
+            self.hi[q] = self.ff_hi[fi];
+            self.note_change(q);
+        }
+        self.ff_changed = changed;
+        self.ff_changed.clear();
         for (net, bit) in std::mem::take(&mut self.glitches) {
             self.unpin(net, bit);
         }
-        self.load_ff_outputs();
+        if !self.bridges.is_empty() {
+            // the scalar simulator reloads every flip-flop output here,
+            // which uncouples a victim among them; and every evaluation
+            // couples again
+            for bi in 0..self.bridges.len() {
+                let v = self.bridges[bi].victim.index();
+                if let Driver::Dff(f) = self.netlist.net(self.bridges[bi].victim).driver {
+                    let state = (self.ff_lo[f.index()], self.ff_hi[f.index()]);
+                    if (self.lo[v], self.hi[v]) != state {
+                        (self.lo[v], self.hi[v]) = state;
+                        self.note_change(v);
+                    }
+                }
+            }
+            self.dirty = true;
+        }
         self.cycle += 1;
-        self.dirty = true;
         if self.source_bridged {
-            self.eval();
+            self.settle();
+        }
+    }
+
+    /// Recomputes the state of flip-flop `fi` (lanes in `hold` keep it),
+    /// noting it in `ff_changed` if it changed.
+    #[inline]
+    fn update_ff(&mut self, fi: usize, hold: u64) {
+        let ff = self.prog.ffs[fi];
+        let (cl, ch) = (self.ff_lo[fi], self.ff_hi[fi]);
+        let (dl, dh) = (self.lo[ff.d as usize], self.hi[ff.d as usize]);
+        // Reset plane masks; no reset net behaves as constant 0
+        // (the `_` arm of the Simulator's reset match).
+        let (r1, r0, rx) = if ff.reset == NO_PIN {
+            (0, !0, 0)
+        } else {
+            let (rl, rh) = (self.lo[ff.reset as usize], self.hi[ff.reset as usize]);
+            (rh & !rl, rl & !rh, rl & rh)
+        };
+        // Enable plane masks; no enable net behaves as constant 1.
+        let (e1, e0, ex) = if ff.enable == NO_PIN {
+            (!0, 0, 0)
+        } else {
+            let (el, eh) = (self.lo[ff.enable as usize], self.hi[ff.enable as usize]);
+            (eh & !el, el & !eh, el & eh)
+        };
+        // Per lane: rst==1 → reset_value; rst X → X; rst==0 →
+        // (en==1 → d, en==0 → hold, en X → X).
+        let loaded_lo = (e1 & dl) | (e0 & cl) | ex;
+        let loaded_hi = (e1 & dh) | (e0 & ch) | ex;
+        let next_lo = (r1 & ff.reset_lo) | rx | (r0 & loaded_lo);
+        let next_hi = (r1 & ff.reset_hi) | rx | (r0 & loaded_hi);
+        // a held lane keeps its state
+        let next_lo = (next_lo & !hold) | (cl & hold);
+        let next_hi = (next_hi & !hold) | (ch & hold);
+        if (next_lo, next_hi) != (cl, ch) {
+            self.ff_lo[fi] = next_lo;
+            self.ff_hi[fi] = next_hi;
+            self.ff_changed.push(fi as u32);
         }
     }
 }

@@ -30,8 +30,7 @@
 //! transfer below mirrors `Simulator::tick` case by case — so the
 //! accumulated fixpoint over-approximates every reachable concrete state.
 
-use socfmea_accel::Topology;
-use socfmea_netlist::{Dff, Driver, GateKind, Logic, NetId, Netlist};
+use socfmea_netlist::{Dff, Driver, GateKind, Logic, NetId, Netlist, Topology};
 
 /// Score value meaning "cannot be done at all" (uncontrollable to that
 /// value / unobservable at any monitor).

@@ -11,8 +11,7 @@
 //! counter-example here would be an unsound pruned campaign.
 
 use proptest::prelude::*;
-use socfmea_accel::Topology;
-use socfmea_netlist::Logic;
+use socfmea_netlist::{Logic, Topology};
 use socfmea_rtl::gen;
 use socfmea_sim::{Simulator, WordSim};
 use socfmea_static::TestabilityAnalysis;
