@@ -1,39 +1,53 @@
 //! The golden-trace recorder: one fault-free run per environment, archived
-//! as a full per-cycle value matrix plus periodic full-state checkpoints.
+//! as a full per-cycle value matrix.
 //!
-//! The matrix is what every campaign monitor compares against, and what a
-//! PPSFP word starts from: one row holds every net's value at one cycle.
-//! The checkpoints let a full simulator resume from the nearest checkpoint
-//! at or before a cycle instead of re-simulating from power-on; none of the
-//! campaign's kernels reads them.
+//! The matrix is what every campaign monitor compares against, what a
+//! PPSFP word starts from, and what the operational profile reads its zone
+//! activity from: one row holds every net's value at one cycle.
+//!
+//! It is stored in blocks of rows of at most 256 KiB rather than in one
+//! allocation. A process that builds and drops set-ups in turn (a campaign
+//! server, a benchmark) then refills a freed trace's memory block by
+//! block. One matrix-sized allocation needs a free hole of its own size, so
+//! a single long-lived allocation placed in a freed trace's memory makes
+//! the heap grow by a whole matrix.
 
 use socfmea_netlist::{LevelizeError, Logic, NetId, Netlist};
-use socfmea_sim::{SimSnapshot, Simulator, Workload};
+use socfmea_sim::{Simulator, Workload};
 
 /// The archived fault-free reference run: post-[`eval`] values of **every**
-/// net at **every** workload cycle, plus [`SimSnapshot`] checkpoints taken
-/// every `interval` cycles.
-///
-/// Checkpoint timing convention: the checkpoint for cycle `c` is captured at
-/// the *start* of cycle `c`, before that cycle's stimulus is applied — so
-/// restoring it and replaying the workload from cycle `c` reproduces the
-/// golden run exactly.
+/// net at **every** workload cycle, recorded by the scalar [`Simulator`]
+/// (the reference the word kernel is checked against).
 ///
 /// [`eval`]: Simulator::eval
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct GoldenTrace {
     cycles: usize,
     nets: usize,
-    /// Row-major `[cycle][net]` values.
-    matrix: Vec<Logic>,
-    /// Snapshots at cycles `0, interval, 2*interval, …`.
-    checkpoints: Vec<SimSnapshot>,
-    interval: usize,
+    /// Each block holds `1 << block_shift` rows (the last one fewer).
+    block_shift: u32,
+    /// Row-major `[cycle][net]` values, in blocks of rows.
+    blocks: Vec<Vec<Logic>>,
+}
+
+/// The most bytes a block of rows holds, unless a single row is larger.
+const BLOCK_BYTES: usize = 1 << 18;
+
+impl std::fmt::Debug for GoldenTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GoldenTrace")
+            .field("cycles", &self.cycles)
+            .field("nets", &self.nets)
+            .finish_non_exhaustive()
+    }
 }
 
 impl GoldenTrace {
-    /// Runs `workload` fault-free over `netlist` and records the trace,
-    /// checkpointing every `interval` cycles (`0` is treated as `1`).
+    /// Runs `workload` fault-free over `netlist` and records the trace.
+    ///
+    /// `_checkpoint_interval` is ignored: the trace keeps no checkpoints.
+    /// The argument stays until the benchmark harness, which passes it,
+    /// changes.
     ///
     /// # Errors
     ///
@@ -42,46 +56,31 @@ impl GoldenTrace {
     pub fn record(
         netlist: &Netlist,
         workload: &Workload,
-        interval: usize,
+        _checkpoint_interval: usize,
     ) -> Result<GoldenTrace, LevelizeError> {
         let mut sim = Simulator::new(netlist)?;
-        Ok(Self::record_with(&mut sim, workload, interval))
-    }
-
-    /// Like [`record`](Self::record), but reuses an existing simulator
-    /// (reset to power-on first), so callers that already paid the
-    /// levelization keep it.
-    pub fn record_with(
-        sim: &mut Simulator<'_>,
-        workload: &Workload,
-        interval: usize,
-    ) -> GoldenTrace {
-        let interval = interval.max(1);
-        let nets = sim.netlist().net_count();
-        let cycles = workload.len();
-        sim.reset_to_power_on();
-        let mut trace = GoldenTrace {
+        let (cycles, nets) = (workload.len(), netlist.net_count());
+        // a power of two of rows per block, so a row lookup is a shift
+        let block_shift = (BLOCK_BYTES / nets.max(1)).max(1).ilog2();
+        let block_rows = 1 << block_shift;
+        let mut blocks: Vec<Vec<Logic>> = Vec::with_capacity(cycles.div_ceil(block_rows));
+        // the rows are exactly what a lockstep golden simulation exposes to
+        // the campaign monitors, and what the operational profile reads
+        workload.run(&mut sim, |cycle, s| {
+            if cycle % block_rows == 0 {
+                blocks.push(Vec::with_capacity(block_rows.min(cycles - cycle) * nets));
+            }
+            let block = blocks
+                .last_mut()
+                .expect("a block opens every block_rows cycles");
+            block.extend_from_slice(s.values());
+        });
+        Ok(GoldenTrace {
             cycles,
             nets,
-            matrix: Vec::with_capacity(cycles * nets),
-            checkpoints: Vec::with_capacity(cycles / interval + 1),
-            interval,
-        };
-        // Same cycle discipline as `Workload::run`: inputs, eval, observe,
-        // tick — the matrix rows are exactly what a lockstep golden
-        // simulation would expose to the campaign monitors.
-        for (c, inputs) in workload.iter().enumerate() {
-            if c % interval == 0 {
-                trace.checkpoints.push(sim.snapshot());
-            }
-            for &(n, v) in inputs {
-                sim.set(n, v);
-            }
-            sim.eval();
-            trace.matrix.extend_from_slice(sim.values());
-            sim.tick();
-        }
-        trace
+            block_shift,
+            blocks,
+        })
     }
 
     /// The golden value of `net` at `cycle` (post-eval).
@@ -91,13 +90,19 @@ impl GoldenTrace {
     /// Panics if `cycle` is out of range.
     #[inline]
     pub fn value(&self, cycle: usize, net: NetId) -> Logic {
-        self.matrix[cycle * self.nets + net.index()]
+        self.row(cycle)[net.index()]
     }
 
     /// All net values of one cycle (indexed by [`NetId::index`]).
     #[inline]
     pub fn row(&self, cycle: usize) -> &[Logic] {
-        &self.matrix[cycle * self.nets..(cycle + 1) * self.nets]
+        let r = cycle & ((1 << self.block_shift) - 1);
+        &self.blocks[cycle >> self.block_shift][r * self.nets..(r + 1) * self.nets]
+    }
+
+    /// Every recorded row, in cycle order.
+    pub fn rows(&self) -> impl Iterator<Item = &[Logic]> {
+        (0..self.cycles).map(|cycle| self.row(cycle))
     }
 
     /// Number of recorded cycles.
@@ -110,32 +115,15 @@ impl GoldenTrace {
         self.cycles == 0
     }
 
-    /// The checkpoint interval the trace was recorded with.
-    pub fn interval(&self) -> usize {
-        self.interval
-    }
-
-    /// Number of stored checkpoints.
-    pub fn checkpoint_count(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// The nearest checkpoint at or before `cycle`; `None` only when the
-    /// trace is empty.
-    pub fn checkpoint_at_or_before(&self, cycle: usize) -> Option<&SimSnapshot> {
-        let idx = (cycle / self.interval).min(self.checkpoints.len().checked_sub(1)?);
-        Some(&self.checkpoints[idx])
-    }
-
-    /// Total heap footprint of the checkpoint store, in bytes (grows as the
-    /// checkpoint interval shrinks).
+    /// Always 0: the trace keeps no checkpoints. Stays until the benchmark
+    /// harness, which adds it to the golden bytes it reports, changes.
     pub fn checkpoint_bytes(&self) -> usize {
-        self.checkpoints.iter().map(SimSnapshot::memory_bytes).sum()
+        0
     }
 
     /// Heap footprint of the per-cycle value matrix, in bytes.
     pub fn matrix_bytes(&self) -> usize {
-        self.matrix.len() * std::mem::size_of::<Logic>()
+        self.blocks.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<Logic>()
     }
 }
 
@@ -145,17 +133,21 @@ mod tests {
     use socfmea_rtl::RtlBuilder;
     use socfmea_sim::assign_bus;
 
-    fn fixture() -> (Netlist, Workload) {
+    /// `words` registers of `bits` bits, the first loaded with a count for
+    /// `cycles` cycles.
+    fn design(words: usize, bits: usize, cycles: u64) -> (Netlist, Workload) {
         let mut r = RtlBuilder::new("d");
-        let d = r.input_word("d", 4);
-        let q = r.register("q", &d, None, None);
-        r.output_word("o", &q);
+        let mut dn = Vec::new();
+        for k in 0..words {
+            let d = r.input_word(&format!("d{k}"), bits);
+            let q = r.register(&format!("q{k}"), &d, None, None);
+            r.output_word(&format!("o{k}"), &q);
+            dn.extend(d.bits().iter().take(8));
+        }
+        dn.truncate(8);
         let nl = r.finish().unwrap();
-        let dn: Vec<_> = (0..4)
-            .map(|i| nl.net_by_name(&format!("d[{i}]")).unwrap())
-            .collect();
         let mut w = Workload::new("count");
-        for c in 0..10 {
+        for c in 0..cycles {
             let mut v = Vec::new();
             assign_bus(&mut v, &dn, c);
             w.push_cycle(v);
@@ -163,53 +155,39 @@ mod tests {
         (nl, w)
     }
 
-    #[test]
-    fn matrix_matches_a_plain_simulation() {
-        let (nl, w) = fixture();
-        let trace = GoldenTrace::record(&nl, &w, 4).unwrap();
-        assert_eq!(trace.len(), 10);
-        let mut sim = Simulator::new(&nl).unwrap();
-        let mut cycle = 0usize;
-        w.run(&mut sim, |_, s| {
-            assert_eq!(trace.row(cycle), s.values(), "cycle {cycle}");
-            cycle += 1;
-        });
+    fn fixture() -> (Netlist, Workload) {
+        design(1, 4, 10)
     }
 
     #[test]
-    fn checkpoints_replay_to_the_same_trace() {
-        let (nl, w) = fixture();
-        let trace = GoldenTrace::record(&nl, &w, 3).unwrap();
-        assert_eq!(trace.checkpoint_count(), 4); // cycles 0, 3, 6, 9
-        let mut sim = Simulator::new(&nl).unwrap();
-        for start in 0..w.len() {
-            let cp = trace.checkpoint_at_or_before(start).unwrap();
-            assert!(cp.cycle() as usize <= start);
-            assert!(start - cp.cycle() as usize <= 3);
-            sim.restore(cp);
-            for (c, inputs) in w.iter().enumerate().skip(cp.cycle() as usize) {
-                for &(n, v) in inputs {
-                    sim.set(n, v);
-                }
-                sim.eval();
-                assert_eq!(sim.values(), trace.row(c), "replay from {start} at {c}");
-                sim.tick();
-                if c >= start {
-                    break;
-                }
-            }
+    fn matrix_matches_a_plain_simulation() {
+        // one block of rows, and rows spread over several blocks
+        for (words, bits, cycles) in [(1, 4, 10), (32, 64, 100)] {
+            let (nl, w) = design(words, bits, cycles);
+            let trace = GoldenTrace::record(&nl, &w, 4).unwrap();
+            assert_eq!(trace.len(), cycles as usize);
+            assert_eq!(trace.blocks.len() > 1, words > 1, "{words} words");
+            assert_eq!(trace.rows().count(), cycles as usize);
+            assert_eq!(trace.matrix_bytes(), cycles as usize * nl.net_count());
+            let mut sim = Simulator::new(&nl).unwrap();
+            let mut rows = trace.rows();
+            w.run(&mut sim, |cycle, s| {
+                assert_eq!(trace.row(cycle), s.values(), "cycle {cycle}");
+                assert_eq!(rows.next(), Some(s.values()), "cycle {cycle}");
+                let last = NetId::from_index(nl.net_count() - 1);
+                assert_eq!(trace.value(cycle, last), s.get(last), "cycle {cycle}");
+            });
         }
     }
 
     #[test]
-    fn interval_one_checkpoints_every_cycle_and_zero_is_clamped() {
+    fn the_interval_changes_nothing_and_no_checkpoints_are_kept() {
         let (nl, w) = fixture();
         let every = GoldenTrace::record(&nl, &w, 1).unwrap();
-        assert_eq!(every.checkpoint_count(), 10);
-        let clamped = GoldenTrace::record(&nl, &w, 0).unwrap();
-        assert_eq!(clamped.checkpoint_count(), 10);
-        assert!(every.checkpoint_bytes() > 0);
-        assert!(every.matrix_bytes() >= 10 * nl.net_count());
+        let sparse = GoldenTrace::record(&nl, &w, 0).unwrap();
+        assert_eq!(every.blocks, sparse.blocks);
+        assert_eq!(every.checkpoint_bytes(), 0);
+        assert_eq!(every.matrix_bytes(), 10 * nl.net_count());
     }
 
     #[test]
@@ -218,7 +196,7 @@ mod tests {
         let w = Workload::new("idle");
         let trace = GoldenTrace::record(&nl, &w, 8).unwrap();
         assert!(trace.is_empty());
-        assert_eq!(trace.checkpoint_count(), 0);
-        assert!(trace.checkpoint_at_or_before(0).is_none());
+        assert_eq!(trace.rows().count(), 0);
+        assert_eq!(trace.matrix_bytes(), 0);
     }
 }

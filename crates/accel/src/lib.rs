@@ -3,13 +3,10 @@
 //! A fault-injection campaign re-simulates the same workload thousands of
 //! times, and compares every faulty run with one fault-free reference:
 //! **[`GoldenTrace`]**, one fault-free recording per environment: the
-//! post-eval value of every net at every cycle, plus full-state
-//! [`SimSnapshot`](socfmea_sim::SimSnapshot) checkpoints at a configurable
-//! interval. The campaign's monitors compare against its rows, and a PPSFP
-//! word (`socfmea-faultsim`) starts from the row at its first inject cycle
-//! instead of re-simulating the golden prefix. No kernel reads the
-//! checkpoints; a full simulator could resume from the nearest one
-//! ([`GoldenTrace::checkpoint_at_or_before`]).
+//! post-eval value of every net at every cycle. The operational profile
+//! reads its zone activity from the rows, the campaign's monitors compare
+//! against them, and a PPSFP word (`socfmea-faultsim`) starts from the row
+//! at its first inject cycle instead of re-simulating the golden prefix.
 //!
 //! It is an exact recording, never an approximation, so the campaign layer
 //! can promise bit-identical outcomes across engines.

@@ -1,10 +1,10 @@
 //! The campaign's one golden artifact, and the kernels a worker owns.
 //!
 //! Every campaign, whatever its [`Engine`](crate::Engine), prepares one
-//! [`ExecContext`]: the [`GoldenTrace`] (every net's value at every cycle,
-//! plus periodic checkpoints), the shared [`MonitorOracle`] and the zones
-//! the fault list targets. The resolved engine only decides which kernel a
-//! worker builds over it ([`Kernels`]):
+//! [`ExecContext`]: the environment's [`GoldenTrace`] (every net's value at
+//! every cycle, shared with the operational profile), the shared
+//! [`MonitorOracle`] and the zones the fault list targets. The resolved
+//! engine only decides which kernel a worker builds over it ([`Kernels`]):
 //!
 //! * **Lockstep** — the scalar reference: every fault simulated in full
 //!   from power-on ([`simulate_scalar`](crate::inject::simulate_scalar)).
@@ -31,6 +31,7 @@ use socfmea_netlist::Netlist;
 use socfmea_sim::{Simulator, WordSim};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// True when a cooperative cancellation token has fired. Checked once per
 /// simulated cycle on every engine path, so a `DELETE`d server job stops
@@ -65,40 +66,35 @@ impl Default for FaultMetrics {
     }
 }
 
-/// Everything a campaign shares across faults: the golden trace with its
-/// checkpoint store, the monitor oracle, and the zones the fault list
-/// targets. Immutable after construction; worker threads share it by
-/// reference (each worker owns its own kernel).
+/// Everything a campaign shares across faults: the golden trace, the
+/// monitor oracle, and the zones the fault list targets. Immutable after
+/// construction; worker threads share it by reference (each worker owns
+/// its own kernel).
 pub(crate) struct ExecContext {
-    pub(crate) trace: GoldenTrace,
+    pub(crate) trace: Arc<GoldenTrace>,
     pub(crate) oracle: MonitorOracle,
     pub(crate) injected_zones: BTreeSet<ZoneId>,
 }
 
 impl ExecContext {
-    /// Records the golden trace (checkpointed every `checkpoint_interval`
-    /// cycles) and builds the monitor oracle for `env`/`faults`.
+    /// Shares the environment's golden trace (recording it if no consumer
+    /// has yet) and builds the monitor oracle for `env`/`faults`.
     ///
     /// # Panics
     ///
     /// Panics if the netlist cannot be levelized.
-    pub(crate) fn prepare(
-        env: &Environment<'_>,
-        faults: &[Fault],
-        checkpoint_interval: usize,
-    ) -> ExecContext {
+    pub(crate) fn prepare(env: &Environment<'_>, faults: &[Fault]) -> ExecContext {
         ExecContext {
-            trace: GoldenTrace::record(env.netlist, env.workload, checkpoint_interval)
-                .expect("levelizable netlist"),
+            trace: Arc::clone(env.golden()),
             oracle: MonitorOracle::new(env),
             injected_zones: faults.iter().filter_map(|f| f.zone).collect(),
         }
     }
 
     /// Approximate resident size in bytes (the artifact cache's eviction
-    /// currency): the golden matrix and checkpoints and the monitor oracle.
+    /// currency): the golden matrix and the monitor oracle.
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.trace.matrix_bytes() + self.trace.checkpoint_bytes() + self.oracle.approx_bytes()
+        self.trace.matrix_bytes() + self.oracle.approx_bytes()
     }
 }
 

@@ -612,7 +612,6 @@ pub struct Campaign<'a> {
     chunk: usize,
     early_stop: Option<EarlyStop>,
     engine: Engine,
-    checkpoint_interval: usize,
     collapse: Collapse,
     prune: Prune,
     observer: Option<&'a Observer>,
@@ -623,20 +622,19 @@ pub struct Campaign<'a> {
 
 /// Everything a campaign builds before the first injection, prepared once
 /// and shareable (via `Arc`) across any number of runs over the same
-/// environment and fault list: the execution context (golden trace +
-/// checkpoints, propagation topology, monitor lookups), the collapse
-/// dictionary and the static prune plan.
+/// environment and fault list: the execution context (the environment's
+/// golden trace and the monitor lookups), the collapse dictionary and the
+/// static prune plan.
 ///
 /// [`Campaign::run`] normally builds all of this itself; handing a
 /// prepared bundle in through [`Campaign::artifacts`] skips every build
 /// phase, which is what makes a warm-cache campaign server submission
 /// jump straight to injection. A run with supplied artifacts is
 /// bit-identical to a cold run — the artifacts are a pure function of
-/// `(environment, fault list, engine, checkpoint interval, collapse,
-/// prune)` and the run validates the settings match before using them.
+/// `(environment, fault list, engine, collapse, prune)` and the run
+/// validates the settings match before using them.
 pub struct CampaignArtifacts {
     engine: Engine,
-    checkpoint_interval: usize,
     collapse: Collapse,
     prune: Prune,
     faults_len: usize,
@@ -650,7 +648,6 @@ impl std::fmt::Debug for CampaignArtifacts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignArtifacts")
             .field("engine", &self.engine)
-            .field("checkpoint_interval", &self.checkpoint_interval)
             .field("collapse", &self.collapse)
             .field("prune", &self.prune)
             .field("faults_len", &self.faults_len)
@@ -671,6 +668,12 @@ impl CampaignArtifacts {
     /// Builds every pre-injection artifact for a campaign over
     /// `env`/`faults`: the execution context for the (resolved) `engine`,
     /// plus the collapse dictionary and static prune plan when requested.
+    /// The golden trace is the environment's own: recorded here only if no
+    /// earlier consumer (the operational profile, say) has recorded it.
+    ///
+    /// `checkpoint_interval` is ignored: the golden trace keeps no
+    /// checkpoints. The argument stays until the benchmark harness, which
+    /// passes it, changes.
     ///
     /// # Panics
     ///
@@ -681,38 +684,28 @@ impl CampaignArtifacts {
         env: &Environment<'_>,
         faults: &[Fault],
         engine: Engine,
-        checkpoint_interval: usize,
+        _checkpoint_interval: usize,
         collapse: Collapse,
         prune: Prune,
     ) -> CampaignArtifacts {
-        Self::prepare_observed(
-            env,
-            faults,
-            engine,
-            checkpoint_interval,
-            collapse,
-            prune,
-            None,
-        )
+        Self::prepare_observed(env, faults, engine, collapse, prune, None)
     }
 
     /// [`prepare`](Self::prepare) with the build steps wrapped in the
     /// observer's `prepare`/`static-prune`/`collapse-plan` phases — the
-    /// exact sequence [`Campaign::run`] records when it builds cold.
+    /// exact sequence [`Campaign::run`] records when it builds cold. The
+    /// `prepare` phase records the golden trace only when the environment
+    /// has none yet.
     pub fn prepare_observed(
         env: &Environment<'_>,
         faults: &[Fault],
         engine: Engine,
-        checkpoint_interval: usize,
         collapse: Collapse,
         prune: Prune,
         observer: Option<&Observer>,
     ) -> CampaignArtifacts {
         let engine = engine.resolve_for(faults);
-        let checkpoint_interval = checkpoint_interval.max(1);
-        let ctx = obs_phase_opt(observer, "prepare", || {
-            ExecContext::prepare(env, faults, checkpoint_interval)
-        });
+        let ctx = obs_phase_opt(observer, "prepare", || ExecContext::prepare(env, faults));
         let prune_plan = (prune == Prune::Static && !faults.is_empty()).then(|| {
             obs_phase_opt(observer, "static-prune", || {
                 PrunePlan::build(env, faults, |cycle, net| ctx.trace.value(cycle, net))
@@ -734,7 +727,6 @@ impl CampaignArtifacts {
             + prune_plan.as_ref().map_or(0, PrunePlan::approx_bytes);
         CampaignArtifacts {
             engine,
-            checkpoint_interval,
             collapse,
             prune,
             faults_len: faults.len(),
@@ -756,8 +748,8 @@ impl CampaignArtifacts {
         self.faults_len
     }
 
-    /// Approximate heap bytes the artifacts own (golden trace matrix and
-    /// checkpoints, monitor lookups, collapse and prune plans; not the
+    /// Approximate heap bytes the artifacts own (golden trace matrix,
+    /// monitor lookups, collapse and prune plans; not the
     /// fault list they were prepared over) — part of the currency of a
     /// byte-budget artifact cache.
     pub fn approx_bytes(&self) -> usize {
@@ -883,8 +875,9 @@ impl<'a> Campaign<'a> {
     /// Default chunk size (faults claimed per worker grab).
     pub const DEFAULT_CHUNK: usize = 8;
 
-    /// Default golden checkpoint interval (see
-    /// [`checkpoint_interval`](Self::checkpoint_interval)).
+    /// Ignored, like [`checkpoint_interval`](Self::checkpoint_interval):
+    /// the golden trace keeps no checkpoints. Stays until the benchmark
+    /// harness, which passes it, changes.
     pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 16;
 
     /// Prepares a campaign over `faults` in `env`, initially
@@ -898,7 +891,6 @@ impl<'a> Campaign<'a> {
             chunk: Self::DEFAULT_CHUNK,
             early_stop: None,
             engine: Engine::Lockstep,
-            checkpoint_interval: Self::DEFAULT_CHECKPOINT_INTERVAL,
             collapse: Collapse::Off,
             prune: Prune::Off,
             observer: None,
@@ -958,13 +950,10 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Sets the golden checkpoint interval (0 is treated as 1): the
-    /// campaign's golden trace keeps a full simulator snapshot every
-    /// `cycles` cycles. No kernel reads them — a PPSFP word starts from the
-    /// trace's per-cycle values — so the interval sizes only the trace's
-    /// checkpoint store; provably does not affect the result.
-    pub fn checkpoint_interval(mut self, cycles: usize) -> Self {
-        self.checkpoint_interval = cycles.max(1);
+    /// Ignored: the golden trace keeps no checkpoints (a PPSFP word starts
+    /// from the trace's per-cycle values). The method stays until the
+    /// benchmark harness, which calls it, changes.
+    pub fn checkpoint_interval(self, _cycles: usize) -> Self {
         self
     }
 
@@ -1019,8 +1008,8 @@ impl<'a> Campaign<'a> {
     /// skips the `prepare`/`static-prune`/`collapse-plan` build phases
     /// entirely and injects against the shared bundle. The result is
     /// bit-identical to a cold run; the artifacts' settings (engine,
-    /// checkpoint interval, collapse, prune, fault-list length) must match
-    /// this builder's or [`run`](Self::run) panics.
+    /// collapse, prune, fault-list length) must match this builder's or
+    /// [`run`](Self::run) panics.
     pub fn artifacts(mut self, artifacts: Arc<CampaignArtifacts>) -> Self {
         self.artifacts = Some(artifacts);
         self
@@ -1103,12 +1092,6 @@ impl<'a> Campaign<'a> {
                     (self.collapse, self.prune),
                     "supplied artifacts use different collapse/prune settings"
                 );
-                if engine != Engine::Lockstep {
-                    assert_eq!(
-                        a.checkpoint_interval, self.checkpoint_interval,
-                        "supplied artifacts use a different checkpoint interval"
-                    );
-                }
                 a
             }
             None => {
@@ -1116,7 +1099,6 @@ impl<'a> Campaign<'a> {
                     self.env,
                     self.faults,
                     engine,
-                    self.checkpoint_interval,
                     self.collapse,
                     self.prune,
                     self.observer,
@@ -2487,6 +2469,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn one_fault_free_run_serves_the_profile_the_list_and_the_artifacts() {
+        let fx = Fixture::new(12);
+        let env = fx.env();
+        // the profile behind the list records the environment's golden trace
+        let faults = fault_list(&env);
+        let golden = Arc::clone(env.golden());
+        for (engine, collapse, prune) in [
+            (Engine::Lockstep, Collapse::Off, Prune::Off),
+            (Engine::Ppsfp, Collapse::Dictionary, Prune::Static),
+        ] {
+            let art = CampaignArtifacts::prepare(&env, &faults, engine, 3, collapse, prune);
+            assert!(
+                Arc::ptr_eq(&art.ctx.trace, &golden),
+                "{engine:?} artifacts re-recorded the golden run"
+            );
+        }
+        // a cached bundle keeps the recording alive past its environment,
+        // and the interval is not part of what it was prepared under
+        let art = Arc::new(CampaignArtifacts::prepare(
+            &env,
+            &faults,
+            Engine::Ppsfp,
+            1,
+            Collapse::Off,
+            Prune::Off,
+        ));
+        drop(env);
+        assert_eq!(Arc::strong_count(&golden), 2);
+        let env = fx.env();
+        let warm = Campaign::new(&env, &faults)
+            .engine(Engine::Ppsfp)
+            .checkpoint_interval(64)
+            .artifacts(art)
+            .run();
+        assert_eq!(warm, Campaign::new(&fx.env(), &faults).run());
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //! bit-identical to the uncollapsed run by construction.
 
 use crate::env::Environment;
-use crate::faultlist::{Fault, FaultKind};
+use crate::faultlist::{ChainLinks, Fault, FaultKind};
 use socfmea_core::ZoneId;
 use socfmea_netlist::{Driver, Gate, GateKind, Logic, NetId, Netlist};
 use std::collections::HashMap;
@@ -220,12 +220,8 @@ impl FaultCollapser {
         Self::construct(netlist, flags)
     }
 
-    fn construct(netlist: &Netlist, mut protected: Vec<bool>) -> FaultCollapser {
-        for &out in netlist.outputs() {
-            protected[out.index()] = true;
-        }
-        let gate_fanout = netlist.gate_fanout();
-        let dff_fanout = netlist.dff_fanout();
+    fn construct(netlist: &Netlist, protected: Vec<bool>) -> FaultCollapser {
+        let chains = ChainLinks::new(netlist);
         let n_sites = netlist.net_count() * 2;
         let mut parent: Vec<usize> = (0..n_sites).collect();
         let mut dominance = Vec::new();
@@ -234,16 +230,14 @@ impl FaultCollapser {
             let out = gate.output;
             for (pos, &input) in gate.inputs.iter().enumerate() {
                 // The input net must be invisible to everything but this
-                // gate: sole gate reader (a net listed twice by one gate
-                // shows up twice in the fanout and is conservatively
-                // skipped), no flip-flop reader, unmonitored. Only then do
-                // the two faulty circuits differ on nothing a monitor can
-                // see. Self-loops never merge (they would equate the two
-                // polarities of one net).
-                let eligible = input != out
-                    && gate_fanout[input.index()].len() == 1
-                    && dff_fanout[input.index()].is_empty()
-                    && !protected[input.index()];
+                // gate: private (sole gate reader — a net listed twice by
+                // one gate counts two pins and is conservatively skipped —
+                // no flip-flop reader, not a primary output) and
+                // unmonitored. Only then do the two faulty circuits differ
+                // on nothing a monitor can see. Self-loops never merge
+                // (they would equate the two polarities of one net).
+                let eligible =
+                    input != out && chains.is_private(input) && !protected[input.index()];
                 if !eligible {
                     continue;
                 }

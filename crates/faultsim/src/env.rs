@@ -4,13 +4,16 @@
 //! information related to the environment for the injection campaign and
 //! builds all the required environment configuration files" (paper §5).
 
+use socfmea_accel::GoldenTrace;
 use socfmea_core::{ZoneId, ZoneKind, ZoneSet};
 use socfmea_netlist::{Driver, NetId, Netlist};
 use socfmea_sim::Workload;
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
-/// A fully-wired injection environment: design, zones, workload, and the
-/// three net groups every monitor needs.
+/// A fully-wired injection environment: design, zones, workload, the
+/// three net groups every monitor needs, and — once a consumer asks for it
+/// — the workload's golden trace, shared by every later consumer.
 #[derive(Debug)]
 pub struct Environment<'a> {
     /// The design under test.
@@ -33,12 +36,30 @@ pub struct Environment<'a> {
     /// functional mismatch first occurring inside it counts as *detected*
     /// (the SW comparison is the diagnostic).
     pub sw_test_window: Option<(usize, usize)>,
+    /// The fault-free run of `workload`, recorded on first need.
+    golden: OnceLock<Arc<GoldenTrace>>,
 }
 
 impl<'a> Environment<'a> {
     /// The zone owning an observation net, if any.
     pub fn zone_of_net(&self, net: NetId) -> Option<ZoneId> {
         self.net_zone.get(&net).copied()
+    }
+
+    /// The golden trace of the workload: one fault-free scalar run,
+    /// recorded by its first consumer and shared by every later one — the
+    /// operational profile, and every campaign prepared over this
+    /// environment. It is a pure function of (netlist, workload).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist cannot be levelized (combinational cycle).
+    pub(crate) fn golden(&self) -> &Arc<GoldenTrace> {
+        self.golden.get_or_init(|| {
+            Arc::new(
+                GoldenTrace::record(self.netlist, self.workload, 0).expect("levelizable netlist"),
+            )
+        })
     }
 
     /// For every net, whether a deviation on it can influence at least one
@@ -221,6 +242,7 @@ impl<'a> EnvironmentBuilder<'a> {
             observation_nets,
             net_zone,
             sw_test_window: self.sw_test_window,
+            golden: OnceLock::new(),
         }
     }
 }
@@ -269,6 +291,28 @@ mod tests {
         // but it stays in functional outputs too unless name-matched: the
         // builder only reroutes name-matched outputs.
         assert!(env.functional_outputs.contains(&flag));
+    }
+
+    #[test]
+    fn the_golden_trace_is_recorded_once_on_first_need() {
+        let mut r = RtlBuilder::new("d");
+        let d = r.input_word("d", 2);
+        let q = r.register("q", &d, None, None);
+        r.output_word("o", &q);
+        let nl = r.finish().unwrap();
+        let zones = extract_zones(&nl, &ExtractConfig::default());
+        let d0 = nl.net_by_name("d[0]").unwrap();
+        let mut w = Workload::new("w");
+        for c in 0..6 {
+            w.push_cycle(vec![(d0, socfmea_netlist::Logic::from(c % 2 == 1))]);
+        }
+        let env = EnvironmentBuilder::new(&nl, &zones, &w).build();
+        assert!(env.golden.get().is_none(), "building records nothing");
+        let profile = crate::OperationalProfile::collect(&env);
+        let recorded = Arc::clone(env.golden.get().expect("the profile records it"));
+        assert_eq!(recorded.len(), 6);
+        let _ = crate::generate_fault_list(&env, &profile, &Default::default());
+        assert!(Arc::ptr_eq(&recorded, env.golden()), "recorded once");
     }
 
     #[test]

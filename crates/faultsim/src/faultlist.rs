@@ -157,6 +157,10 @@ impl Default for FaultListConfig {
 /// controlling values, const-degenerate gates) live in
 /// [`FaultCollapser`](crate::FaultCollapser).
 ///
+/// Each call counts the netlist's readers afresh; the fault-list generator
+/// and [`fault_universe`](crate::fault_universe) count them once for every
+/// site they canonicalise.
+///
 /// # Example
 ///
 /// ```
@@ -174,29 +178,65 @@ impl Default for FaultListConfig {
 /// assert_eq!(collapse_stuck_at(&nl, y_net, Logic::Zero), (a, Logic::One));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn collapse_stuck_at(netlist: &Netlist, mut net: NetId, mut value: Logic) -> (NetId, Logic) {
-    let gate_fanout = netlist.gate_fanout();
-    let dff_fanout = netlist.dff_fanout();
-    loop {
-        let Driver::Gate(g) = netlist.net(net).driver else {
-            return (net, value);
-        };
-        let gate = netlist.gate(g);
-        let flip = match gate.kind {
-            GateKind::Buf => false,
-            GateKind::Not => true,
-            _ => return (net, value),
-        };
-        let src = gate.inputs[0];
-        if gate_fanout[src.index()].len() != 1
-            || !dff_fanout[src.index()].is_empty()
-            || netlist.outputs().contains(&src)
-        {
-            return (net, value);
+pub fn collapse_stuck_at(netlist: &Netlist, net: NetId, value: Logic) -> (NetId, Logic) {
+    ChainLinks::new(netlist).canonical(net, value)
+}
+
+/// The fan-out facts of buffer/inverter chain collapsing, counted once per
+/// netlist: which nets are *private* — read by exactly one gate pin, by no
+/// flip-flop, and not a primary output.
+pub(crate) struct ChainLinks<'n> {
+    netlist: &'n Netlist,
+    private: Vec<bool>,
+}
+
+impl<'n> ChainLinks<'n> {
+    /// Counts the readers of every net of `netlist` in one pass over its
+    /// gate and flip-flop pins.
+    pub(crate) fn new(netlist: &'n Netlist) -> ChainLinks<'n> {
+        let mut pins = vec![0u32; netlist.net_count()];
+        for g in netlist.gates() {
+            for &i in &g.inputs {
+                pins[i.index()] = pins[i.index()].saturating_add(1);
+            }
         }
-        net = src;
-        if flip {
-            value = value.not();
+        let mut private: Vec<bool> = pins.into_iter().map(|p| p == 1).collect();
+        for ff in netlist.dffs() {
+            for net in [Some(ff.d), ff.enable, ff.reset].into_iter().flatten() {
+                private[net.index()] = false;
+            }
+        }
+        for &o in netlist.outputs() {
+            private[o.index()] = false;
+        }
+        ChainLinks { netlist, private }
+    }
+
+    /// Whether `net` is read by exactly one gate pin and nothing else.
+    pub(crate) fn is_private(&self, net: NetId) -> bool {
+        self.private[net.index()]
+    }
+
+    /// The canonical site of `(net, value)`; see [`collapse_stuck_at`].
+    pub(crate) fn canonical(&self, mut net: NetId, mut value: Logic) -> (NetId, Logic) {
+        loop {
+            let Driver::Gate(g) = self.netlist.net(net).driver else {
+                return (net, value);
+            };
+            let gate = self.netlist.gate(g);
+            let flip = match gate.kind {
+                GateKind::Buf => false,
+                GateKind::Not => true,
+                _ => return (net, value),
+            };
+            let src = gate.inputs[0];
+            if !self.is_private(src) {
+                return (net, value);
+            }
+            net = src;
+            if flip {
+                value = value.not();
+            }
         }
     }
 }
@@ -216,12 +256,13 @@ pub fn generate_fault_list(
     let horizon = (env.workload.len().saturating_mul(4) / 5).max(1);
     let pick_cycle = |rng: &mut StdRng| rng.random_range(0..horizon);
 
+    let chains = ChainLinks::new(env.netlist);
     let collapser = config
         .collapse
         .then(|| crate::collapse::FaultCollapser::build(env));
     let canonical_of = |net: NetId, value: Logic| match &collapser {
         Some(c) => c.canonical(net, value),
-        None => collapse_stuck_at(env.netlist, net, value),
+        None => chains.canonical(net, value),
     };
     let mut seen_stuck: std::collections::HashSet<(NetId, Logic)> =
         std::collections::HashSet::new();

@@ -37,9 +37,10 @@ pub struct StuckAtFault {
 /// every gate output and flip-flop output, collapsed through
 /// buffer/inverter chains and deduplicated.
 pub fn fault_universe(netlist: &Netlist) -> Vec<StuckAtFault> {
+    let chains = crate::faultlist::ChainLinks::new(netlist);
     let mut set = std::collections::BTreeSet::new();
     let mut add = |net: NetId, value: Logic| {
-        let (n, v) = crate::faultlist::collapse_stuck_at(netlist, net, value);
+        let (n, v) = chains.canonical(net, value);
         set.insert(StuckAtFault {
             net: n,
             stuck_high: v == Logic::One,

@@ -278,7 +278,7 @@ mod tests {
             .build();
         let faults = stuck_list(&nl);
         assert!(faults.len() > FAULT_LANES, "want more than one batch");
-        let ctx = ExecContext::prepare(&env, &faults, 16);
+        let ctx = ExecContext::prepare(&env, &faults);
         let mut sim = Simulator::new(&nl).unwrap();
         let mut word = WordSim::new(&nl).unwrap();
         for chunk in faults
@@ -302,7 +302,7 @@ mod tests {
         nl: &socfmea_netlist::Netlist,
         faults: &[Fault],
     ) -> u64 {
-        let ctx = ExecContext::prepare(env, faults, 16);
+        let ctx = ExecContext::prepare(env, faults);
         let mut sim = Simulator::new(nl).unwrap();
         let mut word = WordSim::new(nl).unwrap();
         let batch: Vec<(usize, &Fault)> = faults.iter().enumerate().collect();
@@ -417,7 +417,7 @@ mod tests {
             inject_cycle: 99,
             label: "never fires".into(),
         };
-        let ctx = ExecContext::prepare(&env, std::slice::from_ref(&fault), 16);
+        let ctx = ExecContext::prepare(&env, std::slice::from_ref(&fault));
         let mut word = WordSim::new(&nl).unwrap();
         let (got, work) = simulate_batch(&env, &ctx, &mut word, &[(0, &fault)], None);
         assert_eq!(got[0].outcome, crate::inject::Outcome::NoEffect);

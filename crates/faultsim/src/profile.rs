@@ -10,7 +10,6 @@
 use crate::env::Environment;
 use socfmea_core::{FreqClass, ZoneId};
 use socfmea_netlist::Logic;
-use socfmea_sim::Simulator;
 
 /// Fault-free activity statistics of one zone.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -60,49 +59,37 @@ pub struct OperationalProfile {
 }
 
 impl OperationalProfile {
-    /// Runs the workload fault-free and collects per-zone activity.
+    /// Collects per-zone activity from the environment's golden trace (the
+    /// fault-free workload run, recorded here if no consumer has recorded
+    /// it yet). A zone is active in a cycle when an anchor net holds a
+    /// known value that differs from its known value one cycle earlier.
     ///
     /// # Panics
     ///
     /// Panics if the netlist cannot be levelized (combinational cycle) —
     /// construction of the netlist already prevents this.
     pub fn collect(env: &Environment<'_>) -> OperationalProfile {
-        let mut sim = Simulator::new(env.netlist).expect("levelizable netlist");
-        let zone_anchors: Vec<&[socfmea_netlist::NetId]> = env
-            .zones
-            .zones()
-            .iter()
-            .map(|z| z.anchors.as_slice())
-            .collect();
-        let mut last: Vec<Vec<Logic>> = zone_anchors
-            .iter()
-            .map(|a| vec![Logic::X; a.len()])
-            .collect();
+        let golden = env.golden();
         let mut zones = vec![ZoneActivity::default(); env.zones.len()];
-        env.workload.run(&mut sim, |_cycle, s| {
-            for (zi, anchors) in zone_anchors.iter().enumerate() {
-                let mut changed = false;
-                let mut known = true;
-                for (bi, &net) in anchors.iter().enumerate() {
-                    let now = s.get(net);
-                    if now != last[zi][bi] && now.is_known() && last[zi][bi].is_known() {
-                        changed = true;
-                    }
-                    if !now.is_known() {
-                        known = false;
-                    }
-                    last[zi][bi] = now;
-                }
-                let a = &mut zones[zi];
+        let mut prev: Option<&[Logic]> = None;
+        for row in golden.rows() {
+            for (a, zone) in zones.iter_mut().zip(env.zones.zones()) {
+                let anchors = zone.anchors.iter().map(|n| n.index());
                 a.total_cycles += 1;
+                if anchors.clone().all(|n| row[n].is_known()) {
+                    a.known_cycles += 1;
+                }
+                let changed = prev.is_some_and(|prev| {
+                    anchors
+                        .clone()
+                        .any(|n| row[n] != prev[n] && row[n].is_known() && prev[n].is_known())
+                });
                 if changed {
                     a.active_cycles += 1;
                 }
-                if known {
-                    a.known_cycles += 1;
-                }
             }
-        });
+            prev = Some(row);
+        }
         OperationalProfile {
             zones,
             cycles: env.workload.len() as u64,

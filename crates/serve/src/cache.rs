@@ -10,12 +10,14 @@
 //!    too: a design whose hash collides with a cached one gets an entry of
 //!    its own that is never cached, and counts as a miss.
 //! 2. **Spec bundles** inside each entry, keyed by
-//!    `(seed, cycles, checkpoint_interval, engine, collapse, prune)` —
-//!    workload, operational profile, fault list, and the shared
-//!    [`CampaignArtifacts`] (golden trace + checkpoints, monitor lookups,
-//!    collapse dictionary, static prune plan). Worker threads are
+//!    `(seed, cycles, engine, collapse, prune)` — workload, operational
+//!    profile, fault list, and the shared [`CampaignArtifacts`] (golden
+//!    trace, monitor lookups, collapse dictionary, static prune plan). A
+//!    cold build runs the workload fault-free once: the profile records the
+//!    golden trace and the artifacts share it. Worker threads are
 //!    deliberately **not** in the key: results are thread-count invariant,
-//!    so a 1-thread probe warms the cache for an 8-thread run.
+//!    so a 1-thread probe warms the cache for an 8-thread run, and neither
+//!    is the ignored `checkpoint_interval`.
 //!
 //! A warm bundle makes `Campaign::artifacts` skip every build phase — the
 //! invariant test asserts warm runs are bit-identical to cold ones.
@@ -112,13 +114,12 @@ impl SpecBundle {
 
 /// Spec key: every submission field that changes campaign *results or
 /// artifacts* — and nothing else.
-type SpecKey = (u64, u64, u64, u8, u8, u8);
+type SpecKey = (u64, u64, u8, u8, u8);
 
 fn spec_key(spec: &JobSpec) -> SpecKey {
     (
         spec.seed,
         spec.cycles as u64,
-        spec.checkpoint_interval as u64,
         match spec.engine {
             Engine::Auto => 0,
             Engine::Lockstep => 1,
@@ -295,7 +296,12 @@ impl ArtifactCache {
         let env = EnvironmentBuilder::new(&entry.netlist, &entry.zones, &workload)
             .alarms_matching("alarm")
             .build();
-        let profile = OperationalProfile::collect(&env);
+        // records the golden trace the artifacts share below
+        let mut profile = None;
+        phased("build-profile", &mut || {
+            profile = Some(OperationalProfile::collect(&env));
+        });
+        let profile = profile.expect("profile collected");
         reg.counter("serve.build.faults").incr();
         let mut faults = Vec::new();
         phased("build-faults", &mut || {
@@ -316,7 +322,6 @@ impl ArtifactCache {
             &env,
             &faults,
             spec.engine,
-            spec.checkpoint_interval,
             spec.collapse,
             spec.prune,
             obs,

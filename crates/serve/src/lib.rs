@@ -10,7 +10,7 @@
 //!
 //! The core leverage is the **artifact cache** ([`cache::ArtifactCache`]):
 //! everything expensive and reusable about a design — netlist and zones,
-//! golden trace and checkpoints, collapse plan, static prune plans — is
+//! golden trace, collapse plan, static prune plans — is
 //! built once, keyed by the design hash (FNV-1a over the *re-serialized*
 //! netlist, so formatting differences do not fragment the cache, with the
 //! canonical text compared on a hit so a collision never shares), and

@@ -49,8 +49,9 @@ pub struct JobSpec {
     pub threads: usize,
     /// Campaign execution engine.
     pub engine: Engine,
-    /// Golden-trace checkpoint spacing. No engine reads the checkpoints,
-    /// so it changes only the cached trace's memory.
+    /// Ignored: the golden trace keeps no checkpoints, and the interval is
+    /// not part of the artifact cache key. Parsed (at least 1) and rendered
+    /// until the benchmark harness, which fills it in, changes.
     pub checkpoint_interval: usize,
     /// Fault-collapsing mode.
     pub collapse: Collapse,

@@ -642,7 +642,6 @@ fn run_job(
         .threads(threads)
         .seed(job.spec.seed)
         .engine(job.spec.engine)
-        .checkpoint_interval(job.spec.checkpoint_interval)
         .collapsing(job.spec.collapse)
         .pruning(job.spec.prune)
         .artifacts(Arc::clone(&bundle.artifacts))

@@ -178,9 +178,14 @@ fn bad_submissions_and_unknown_jobs_are_rejected() {
 #[test]
 fn a_full_queue_draws_429_with_a_retry_hint() {
     // one worker, one queue slot: a long-running job plus one queued job
-    // saturate the server
+    // saturate the server. The long job runs ~90 faults over 2048 cycles on
+    // the scalar lockstep engine, seconds of work that only the cancel
+    // below ends (it is checked every simulated cycle)
     let (server, client) = start(1, 1);
-    let long = submit(&client, r#"{"example":"fmem","cycles":2048,"tenant":"a"}"#);
+    let long = submit(
+        &client,
+        r#"{"example":"fmem","cycles":2048,"engine":"lockstep","tenant":"a"}"#,
+    );
     wait_running(&client, &long);
     let queued = submit(&client, r#"{"example":"fmem","cycles":8,"tenant":"a"}"#);
 

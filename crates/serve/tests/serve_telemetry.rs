@@ -155,6 +155,30 @@ fn events_stream_is_correlated_and_spans_cover_the_wall_clock() {
 }
 
 #[test]
+fn a_cold_job_times_each_build_phase_and_a_warm_job_none() {
+    let (server, client) = start(true);
+    let phases = |job: &str| -> Vec<String> {
+        events_of(&client, job)
+            .lines()
+            .map(doc)
+            .filter(|v| v.get("ev").and_then(Value::as_str) == Some("phase"))
+            .map(|v| v.get("name").unwrap().as_str().unwrap().to_owned())
+            .collect()
+    };
+    // the profile records the golden run the prepared artifacts share, so
+    // the recording shows as its own phase, before the fault list
+    let cold = run_to_done(&client, &spec(1));
+    assert_eq!(
+        phases(&cold),
+        ["build-workload", "build-profile", "build-faults", "prepare"]
+    );
+    let warm = run_to_done(&client, &spec(1));
+    assert!(phases(&warm).is_empty(), "{:?}", phases(&warm));
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn telemetry_off_keeps_the_events_stream_to_lifecycle_records() {
     let (server, client) = start(false);
     let job = run_to_done(&client, &spec(1));

@@ -47,7 +47,7 @@ pub mod workload;
 pub use coverage::ToggleCoverage;
 pub use fault::BridgeKind;
 pub use probe::Probe;
-pub use sim::{SimSnapshot, Simulator};
+pub use sim::Simulator;
 pub use vcd::VcdWriter;
 pub use word::{WordSim, FAULT_LANES, LANES};
 pub use workload::{assign_bus, Workload};

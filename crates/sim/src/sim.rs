@@ -38,57 +38,6 @@ pub struct Simulator<'a> {
     ff_next: Vec<Logic>,
 }
 
-/// A full copy of a simulator's dynamic state: net values, flip-flop state,
-/// every active fault hook, and the cycle counter.
-///
-/// Taken with [`Simulator::snapshot`] and re-installed with
-/// [`Simulator::restore`]; the pair round-trips exactly, so a golden run
-/// can be checkpointed at intervals and resumed from the nearest checkpoint
-/// instead of re-simulated from power-on.
-///
-/// A snapshot is tied to the netlist it was taken from: restoring it into a
-/// simulator over a different netlist panics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimSnapshot {
-    values: Vec<Logic>,
-    ff_state: Vec<Logic>,
-    forces: Vec<Option<Logic>>,
-    transients: Vec<(NetId, Logic)>,
-    bridges: Vec<(NetId, NetId, BridgeKind)>,
-    clock_suppressed: bool,
-    cycle: u64,
-}
-
-impl SimSnapshot {
-    /// The cycle counter at capture time.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Stored flip-flop state (indexed by `DffId`).
-    pub fn ff_state(&self) -> &[Logic] {
-        &self.ff_state
-    }
-
-    /// True if the snapshot carries any active fault hook (force, transient,
-    /// bridge or clock suppression).
-    pub fn has_active_faults(&self) -> bool {
-        self.clock_suppressed
-            || !self.bridges.is_empty()
-            || !self.transients.is_empty()
-            || self.forces.iter().any(Option::is_some)
-    }
-
-    /// Approximate heap footprint in bytes (for checkpoint-memory budgets).
-    pub fn memory_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<Logic>()
-            + self.ff_state.len() * std::mem::size_of::<Logic>()
-            + self.forces.len() * std::mem::size_of::<Option<Logic>>()
-            + self.transients.capacity() * std::mem::size_of::<(NetId, Logic)>()
-            + self.bridges.capacity() * std::mem::size_of::<(NetId, NetId, BridgeKind)>()
-    }
-}
-
 impl<'a> Simulator<'a> {
     /// Prepares a simulator for `netlist`: levelizes the combinational
     /// network and initialises every flip-flop to its declared power-on
@@ -226,56 +175,6 @@ impl<'a> Simulator<'a> {
     /// Stored state of every flip-flop (indexed by `DffId`).
     pub fn ff_states(&self) -> &[Logic] {
         &self.ff_state
-    }
-
-    /// Captures the complete dynamic state — net values, flip-flop state,
-    /// active fault hooks (forces, transients, bridges, clock suppression)
-    /// and the cycle counter — into a [`SimSnapshot`].
-    pub fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            values: self.values.clone(),
-            ff_state: self.ff_state.clone(),
-            forces: self.forces.clone(),
-            transients: self.transients.clone(),
-            bridges: self.bridges.clone(),
-            clock_suppressed: self.clock_suppressed,
-            cycle: self.cycle,
-        }
-    }
-
-    /// Restores the state captured by [`snapshot`](Self::snapshot),
-    /// replacing *all* dynamic state: any fault hook active before the call
-    /// is gone, any hook active at capture time (including forces) is live
-    /// again. Simulation resumes exactly where the snapshot was taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a simulator over a different
-    /// netlist (detected by state-vector sizes).
-    pub fn restore(&mut self, snap: &SimSnapshot) {
-        assert_eq!(
-            (snap.values.len(), snap.ff_state.len()),
-            (self.values.len(), self.ff_state.len()),
-            "snapshot belongs to a different netlist"
-        );
-        self.values.copy_from_slice(&snap.values);
-        self.ff_state.copy_from_slice(&snap.ff_state);
-        self.forces.clone_from(&snap.forces);
-        self.forced.clear();
-        self.forced.extend(
-            (0..self.forces.len())
-                .filter(|&i| self.forces[i].is_some())
-                .map(NetId::from_index),
-        );
-        self.transients.clone_from(&snap.transients);
-        self.bridges.clone_from(&snap.bridges);
-        self.clock_suppressed = snap.clock_suppressed;
-        self.cycle = snap.cycle;
-        // The stored values are the snapshot's settled post-eval state;
-        // marking dirty makes the next eval recompute them (a pure function
-        // of inputs/FF state/hooks, so the recomputation is a no-op) rather
-        // than trusting the flag across the restore boundary.
-        self.dirty = true;
     }
 
     /// Evaluates the combinational network. Idempotent: re-evaluation
@@ -660,6 +559,7 @@ mod tests {
         sim.set(rst, Logic::Zero);
         sim.force(nl.net_by_name("q0").unwrap(), Logic::One);
         sim.tick();
+        sim.pulse(nl.net_by_name("n0").unwrap(), Logic::One);
         sim.reset_to_power_on();
         assert_eq!(sim.cycle(), 0);
         assert!(!sim.has_active_faults());
@@ -675,117 +575,21 @@ mod tests {
         let rst = nl.net_by_name("rst").unwrap();
         sim.set(rst, Logic::Zero);
         sim.force(nl.net_by_name("q0").unwrap(), Logic::One);
-        sim.tick();
-        sim.tick();
-        let mut fresh = sim.clone_fresh();
-        assert_eq!(fresh.cycle(), 0);
-        assert!(!fresh.has_active_faults());
-        fresh.set(rst, Logic::Zero);
-        fresh.eval();
-        assert_eq!(count_of(&fresh, &nl), 0);
-        // advancing the clone leaves the original untouched
-        fresh.tick();
-        assert_eq!(sim.cycle(), 2);
-        assert!(sim.has_active_faults());
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_the_same_trajectory() {
-        let nl = counter2();
-        let mut sim = Simulator::new(&nl).unwrap();
-        let rst = nl.net_by_name("rst").unwrap();
-        sim.set(rst, Logic::Zero);
-        sim.eval();
-        sim.tick();
-        sim.tick(); // count = 2
-        let snap = sim.snapshot();
-        assert_eq!(snap.cycle(), 2);
-        // run ahead, then rewind and replay: the trajectories must agree
-        let ahead: Vec<u64> = (0..4)
-            .map(|_| {
-                sim.tick();
-                count_of(&sim, &nl)
-            })
-            .collect();
-        sim.restore(&snap);
-        assert_eq!(sim.cycle(), 2);
-        assert_eq!(count_of(&sim, &nl), 2);
-        let replay: Vec<u64> = (0..4)
-            .map(|_| {
-                sim.tick();
-                count_of(&sim, &nl)
-            })
-            .collect();
-        assert_eq!(ahead, replay);
-    }
-
-    #[test]
-    fn restored_checkpoint_preserves_active_forces() {
-        let nl = counter2();
-        let mut sim = Simulator::new(&nl).unwrap();
-        let rst = nl.net_by_name("rst").unwrap();
-        let q0 = nl.net_by_name("q0").unwrap();
-        sim.set(rst, Logic::Zero);
-        sim.force(q0, Logic::Zero);
-        sim.eval();
-        sim.tick();
-        let snap = sim.snapshot();
-        assert!(snap.has_active_faults());
-        // wipe everything, then restore: the stuck-at must be live again
-        sim.reset_to_power_on();
-        assert!(!sim.has_active_faults());
-        sim.restore(&snap);
-        assert!(sim.has_active_faults());
-        for _ in 0..3 {
-            sim.tick();
-            assert_eq!(sim.get(q0), Logic::Zero, "restored force must hold");
-        }
-        assert_eq!(count_of(&sim, &nl), 0);
-    }
-
-    #[test]
-    fn clone_fresh_after_restore_is_power_on_clean() {
-        let nl = counter2();
-        let mut sim = Simulator::new(&nl).unwrap();
-        let rst = nl.net_by_name("rst").unwrap();
-        sim.set(rst, Logic::Zero);
-        sim.force(nl.net_by_name("q0").unwrap(), Logic::One);
         sim.suppress_clock(true);
         sim.tick();
-        let snap = sim.snapshot();
-        sim.reset_to_power_on();
-        sim.restore(&snap);
-        // the restored instance carries faults; a fresh clone must not
+        sim.tick();
         let mut fresh = sim.clone_fresh();
         assert_eq!(fresh.cycle(), 0);
         assert!(!fresh.has_active_faults());
         fresh.set(rst, Logic::Zero);
         fresh.eval();
         assert_eq!(count_of(&fresh, &nl), 0);
+        // the clone's clock runs, and advancing it leaves the original
+        // untouched
         fresh.tick();
         assert_eq!(count_of(&fresh, &nl), 1);
-        // and the restored original is untouched by the clone's advance
+        assert_eq!(sim.cycle(), 2);
         assert!(sim.has_active_faults());
-        assert_eq!(sim.cycle(), 1);
-    }
-
-    #[test]
-    fn reset_to_power_on_after_restore_clears_restored_faults() {
-        let nl = counter2();
-        let mut sim = Simulator::new(&nl).unwrap();
-        let rst = nl.net_by_name("rst").unwrap();
-        sim.set(rst, Logic::Zero);
-        sim.pulse(nl.net_by_name("n0").unwrap(), Logic::One);
-        sim.force(nl.net_by_name("q1").unwrap(), Logic::One);
-        sim.eval();
-        let snap = sim.snapshot();
-        sim.restore(&snap);
-        sim.reset_to_power_on();
-        assert!(!sim.has_active_faults());
-        assert_eq!(sim.cycle(), 0);
-        sim.set(rst, Logic::Zero);
-        sim.eval();
-        assert_eq!(count_of(&sim, &nl), 0);
     }
 
     #[test]
@@ -805,36 +609,6 @@ mod tests {
         // expose the *stored* state, not the stale forced value
         sim.release(q0);
         assert_eq!(sim.get(q0), sim.ff(DffId(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "different netlist")]
-    fn restoring_a_foreign_snapshot_panics() {
-        let nl = counter2();
-        let sim = Simulator::new(&nl).unwrap();
-        let snap = sim.snapshot();
-        let mut b = NetlistBuilder::new("other");
-        let a = b.input("a");
-        let y = b.gate(GateKind::Buf, &[a], "y");
-        b.output("o", y);
-        let other = b.finish().unwrap();
-        let mut sim2 = Simulator::new(&other).unwrap();
-        sim2.restore(&snap);
-    }
-
-    #[test]
-    fn snapshot_reports_memory_and_roundtrips_equality() {
-        let nl = counter2();
-        let mut sim = Simulator::new(&nl).unwrap();
-        sim.set(nl.net_by_name("rst").unwrap(), Logic::Zero);
-        sim.eval();
-        sim.tick();
-        let snap = sim.snapshot();
-        assert!(snap.memory_bytes() >= nl.net_count() + nl.dff_count());
-        assert_eq!(snap.ff_state().len(), nl.dff_count());
-        let mut other = sim.clone_fresh();
-        other.restore(&snap);
-        assert_eq!(other.snapshot(), snap);
     }
 
     #[test]

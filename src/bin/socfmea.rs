@@ -34,7 +34,7 @@
 //!   --seed <s>                 fault-list sampling seed
 //!   --cycles <n>               synthetic workload length in cycles
 //!   --engine <e>               campaign engine (auto|lockstep|ppsfp)
-//!   --checkpoint-interval <n>  golden-trace checkpoint spacing
+//!   --checkpoint-interval <n>  ignored (the golden trace keeps no checkpoints)
 //!   --collapse                 simulate one representative per equivalence
 //!                              class, back-annotate the rest
 //!   --prune                    skip statically proven-undetectable faults,
@@ -458,7 +458,6 @@ fn run_inject(opts: &InjectOptions) -> Result<(), ExitCode> {
         .threads(opts.threads)
         .seed(opts.seed)
         .engine(opts.engine)
-        .checkpoint_interval(opts.checkpoint_interval)
         .collapsing(opts.collapse)
         .pruning(opts.prune)
         .observe(&observer);

@@ -69,9 +69,8 @@ inject options:
                              every engine yields the bit-identical result
                              (default: auto — ppsfp, lockstep for an empty
                              fault list)
-  --checkpoint-interval <n>  golden-trace checkpoint spacing; no engine
-                             reads the checkpoints, so it changes only the
-                             trace's memory (default: 16)
+  --checkpoint-interval <n>  ignored: the golden trace keeps no
+                             checkpoints (accepted for compatibility)
   --collapse                 simulate one representative per equivalence
                              class, back-annotate the rest (bit-identical)
   --prune                    statically prove faults undetectable and skip
@@ -183,7 +182,7 @@ pub struct SubmitOptions {
     pub threads: usize,
     /// Campaign execution engine.
     pub engine: Engine,
-    /// Checkpoint spacing of the golden trace (read by no engine).
+    /// Ignored: the golden trace keeps no checkpoints.
     pub checkpoint_interval: usize,
     /// Fault-collapsing mode.
     pub collapse: Collapse,
@@ -269,7 +268,7 @@ pub struct InjectOptions {
     /// Campaign execution engine; every engine yields the bit-identical
     /// result, so this only selects the execution strategy.
     pub engine: Engine,
-    /// Checkpoint spacing of the golden trace (read by no engine).
+    /// Ignored: the golden trace keeps no checkpoints.
     pub checkpoint_interval: usize,
     /// Fault-collapsing mode: simulate one representative per equivalence
     /// class and expand the rest from the fault dictionary (bit-identical).

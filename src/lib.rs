@@ -17,7 +17,7 @@
 //! | [`iec61508`] | `socfmea-iec61508` | SIL/HFT/SFF tables, Annex A techniques, failure modes |
 //! | [`fmea`] | `socfmea-core` | zones, worksheet, SFF/DC, ranking, sensitivity, validation |
 //! | [`faultsim`] | `socfmea-faultsim` | injection environment, monitors, permanent-fault simulator |
-//! | [`accel`] | `socfmea-accel` | golden traces, checkpoints, propagation topology |
+//! | [`accel`] | `socfmea-accel` | the golden trace, propagation topology (re-export) |
 //! | [`obs`] | `socfmea-obs` | spans, metrics registry, JSONL fault traces, live progress |
 //! | [`lint`] | `socfmea-lint` | static safety lints over netlist, zones, and worksheet |
 //! | [`serve`] | `socfmea-serve` | multi-tenant campaign server, artifact cache, live streaming |
